@@ -232,8 +232,8 @@
 //! order-insensitive statistics (`states`, `steps`, `deduped`) are
 //! identical to serial mode — the work-stealing-equivalence suite pins
 //! this over the litmus corpus and Table 2 for every strategy at 2/4/8
-//! threads (there, with the full schedules too), and a property test
-//! hammers the steal/terminate races under randomized victim order.
+//! threads, and a property test hammers the steal/terminate races
+//! under randomized victim order.
 //! What may differ: which witness is found *first* (`first_witness_*`
 //! record whichever a worker reached first; merged violation lists are
 //! sorted canonically), event interleaving, the **schedule prefix**

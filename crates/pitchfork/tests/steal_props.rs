@@ -15,9 +15,9 @@
 //! schedule prefixes reconverge on one fingerprint whose future leaks,
 //! which prefix the report names depends on which duplicate won the
 //! visited-set insert — deterministic serially, a race in parallel.
-//! `proggen` programs hit such reconvergent witnesses routinely; the
-//! litmus corpus and Table 2 never do, which is why the corpus suites
-//! can (and do) pin full `(pc, schedule, observation)` equality.
+//! `proggen` programs hit such reconvergent witnesses routinely, and
+//! so do litmus cases such as `kocher_15`, which is why the corpus
+//! suite pins the same multiset rather than full schedules.
 //!
 //! Small random programs are the adversarial case for *termination*,
 //! not throughput: workers go hungry almost immediately, so the run

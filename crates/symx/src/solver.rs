@@ -15,6 +15,31 @@
 //! over-approximation that can cost a false positive but never a missed
 //! leak, matching how angr concretization errs.
 //!
+//! The model search runs in a fixed order:
+//!
+//! 1. it builds the candidate grid: small values, every constant of the
+//!    constraints with its neighbours, and pairwise sums and differences
+//!    of the constants;
+//! 2. it tries every point of the grid's product over the query's
+//!    variables, when that fits [`SolverOptions::exhaustive_budget`];
+//! 3. it draws [`SolverOptions::random_probes`] probes from one RNG
+//!    seeded with [`SolverOptions::seed`], each variable taken from the
+//!    grid or uniformly from `u64` with equal odds, and follows each
+//!    failed probe with up to [`SolverOptions::repair_rounds`] greedy
+//!    sweeps that move one variable at a time to its best grid value.
+//!
+//! When step 2 runs and finds no model, every grid point is refuted,
+//! and step 3 skips work that can only revisit one. A probe whose values
+//! all lie on the grid is neither evaluated nor repaired: it is a grid
+//! point, and repair only moves variables onto the grid. A one-variable
+//! probe is not repaired: repair either leaves it unchanged or moves it
+//! onto the grid. Both skips are exact. Every probe is still drawn in
+//! full and repair draws no random numbers, so the random stream, the
+//! probe order and every returned model are those of the search without
+//! the skips. A one-variable query with no model, such as a Figure 1
+//! load probe on the in-bounds path, then costs little more than its
+//! exhaustive pass.
+//!
 //! Verdicts are memoized in a **lock-striped** process-wide table: the
 //! canonical constraint-set key picks one of [`MEMO_SHARDS`] mutexes,
 //! so parallel explorations answering from the memo contend only when
@@ -59,11 +84,20 @@ impl Verdict {
 /// Tuning knobs.
 #[derive(Clone, Copy, Debug)]
 pub struct SolverOptions {
-    /// Random probes per query.
+    /// Random probes per query, run after the exhaustive pass. A probe
+    /// draws each variable from the candidate grid or uniformly from
+    /// `u64`. Once the exhaustive pass has refuted the whole grid, a
+    /// probe drawn only from grid values is skipped after it is drawn,
+    /// which leaves the random stream and so every verdict unchanged
+    /// (see the module docs).
     pub random_probes: usize,
     /// Exhaustive-product budget (number of assignments tried).
     pub exhaustive_budget: usize,
-    /// Greedy repair sweeps.
+    /// Greedy repair sweeps after each failed probe. A sweep moves each
+    /// variable in turn to the grid value that satisfies the most
+    /// constraints. One-variable queries whose grid the exhaustive pass
+    /// refuted skip repair: it could only move their variable onto that
+    /// grid (see the module docs).
     pub repair_rounds: usize,
     /// RNG seed (solving is deterministic given the seed).
     pub seed: u64,
@@ -745,35 +779,49 @@ impl Solver {
         let cands = self.candidate_values(view, constraints);
         let total = constraints.len();
 
-        // Exhaustive product when affordable.
+        // Exhaustive product when affordable. When it finds nothing,
+        // every point of the candidate grid is refuted.
+        let mut grid_refuted = false;
         let combos = cands.len().checked_pow(vars.len() as u32);
-        if let Some(n) = combos {
-            if n <= self.options.exhaustive_budget {
-                let mut model = Model::new();
-                if self.exhaustive(view, &vars, &cands, constraints, &mut model, 0) {
-                    return Some(model);
-                }
-                // Complete search over the candidate grid failed; random
-                // probes below may still succeed on off-grid values.
+        if combos.is_some_and(|n| n <= self.options.exhaustive_budget) {
+            let mut model = Model::new();
+            if self.exhaustive(view, &vars, &cands, constraints, &mut model, 0) {
+                return Some(model);
             }
+            grid_refuted = true;
         }
 
         let mut rng = SmallRng::seed_from_u64(self.options.seed);
         // Random probing with greedy repair.
         for _ in 0..self.options.random_probes {
+            let mut off_grid = false;
             let mut model: Model = vars
                 .iter()
                 .map(|&v| {
                     let x = if rng.gen_bool(0.5) {
                         cands[rng.gen_range(0..cands.len())]
                     } else {
-                        rng.gen()
+                        let x = rng.gen();
+                        off_grid |= cands.binary_search(&x).is_err();
+                        x
                     };
                     (v, x)
                 })
                 .collect();
+            // The probe is drawn in full either way, so later probes see
+            // the same random stream. A probe on the refuted grid fails,
+            // and repair, which only moves variables onto the grid, never
+            // leaves it.
+            if grid_refuted && !off_grid {
+                continue;
+            }
             if Self::satisfied(view, &model, constraints) == total {
                 return Some(model);
+            }
+            // Repairing the only variable lands it on the refuted grid
+            // or leaves the probe unchanged.
+            if grid_refuted && vars.len() == 1 {
+                continue;
             }
             // Greedy repair: sweep variables, try every candidate.
             for _ in 0..self.options.repair_rounds {
@@ -1046,5 +1094,203 @@ mod tests {
         for other in &results[1..] {
             assert_eq!(&results[0], other, "memo races must not change verdicts");
         }
+    }
+
+    /// The model search without the refuted-grid skips: every probe is
+    /// evaluated and every failed probe repaired. Returns the model and
+    /// whether the exhaustive pass refuted the whole grid.
+    fn reference_search(
+        s: &Solver,
+        view: &mut LocalView,
+        constraints: &[Expr],
+    ) -> (Option<Model>, bool) {
+        let mut vars = BTreeSet::new();
+        for &c in constraints {
+            view.collect_vars(c, &mut vars);
+        }
+        let vars: Vec<VarId> = vars.into_iter().collect();
+        let cands = s.candidate_values(view, constraints);
+        let total = constraints.len();
+        let mut grid_refuted = false;
+        let combos = cands.len().checked_pow(vars.len() as u32);
+        if combos.is_some_and(|n| n <= s.options.exhaustive_budget) {
+            let mut model = Model::new();
+            if s.exhaustive(view, &vars, &cands, constraints, &mut model, 0) {
+                return (Some(model), false);
+            }
+            grid_refuted = true;
+        }
+        let mut rng = SmallRng::seed_from_u64(s.options.seed);
+        for _ in 0..s.options.random_probes {
+            let mut model: Model = vars
+                .iter()
+                .map(|&v| {
+                    let x = if rng.gen_bool(0.5) {
+                        cands[rng.gen_range(0..cands.len())]
+                    } else {
+                        rng.gen()
+                    };
+                    (v, x)
+                })
+                .collect();
+            if Solver::satisfied(view, &model, constraints) == total {
+                return (Some(model), grid_refuted);
+            }
+            for _ in 0..s.options.repair_rounds {
+                let mut improved = false;
+                for &v in &vars {
+                    let before = Solver::satisfied(view, &model, constraints);
+                    if before == total {
+                        return (Some(model), grid_refuted);
+                    }
+                    let orig = model.get(v);
+                    let mut best = (before, orig);
+                    for &cand in &cands {
+                        model.set(v, cand);
+                        let score = Solver::satisfied(view, &model, constraints);
+                        if score > best.0 {
+                            best = (score, cand);
+                        }
+                    }
+                    model.set(v, best.1);
+                    if best.1 != orig {
+                        improved = true;
+                    }
+                }
+                if Solver::satisfied(view, &model, constraints) == total {
+                    return (Some(model), grid_refuted);
+                }
+                if !improved {
+                    break;
+                }
+            }
+        }
+        (None, grid_refuted)
+    }
+
+    fn pick<T: Copy>(rng: &mut SmallRng, xs: &[T]) -> T {
+        xs[rng.gen_range(0..xs.len())]
+    }
+
+    /// A random query over one to three variables, in the shapes the
+    /// explorer issues: branch conditions wrapped as `ne(cmp, 0)` or
+    /// `eq(cmp, 0)`, load-address probes `eq(add(v, c), k)`, and masked
+    /// products `eq(and(mul(v, c), 0x1f), k)`, which can have models
+    /// only off the candidate grid. Each variable gets one constraint,
+    /// and one more may follow. The more variables, the fewer constants,
+    /// so most grids stay small enough to search in full.
+    fn random_query(rng: &mut SmallRng) -> Vec<Expr> {
+        let vars = rng.gen_range(1..4u32);
+        let pool: Vec<u64> = (0..rng.gen_range(1..5 - vars))
+            .map(|_| pick(rng, &[3, 5, 7, 0x40, 0x44, 0x4b, 1000]))
+            .collect();
+        let var = |rng: &mut SmallRng| Expr::var(VarId(rng.gen_range(0..vars)));
+        let konst = |rng: &mut SmallRng| Expr::constant(pick(rng, &pool));
+        let term = |rng: &mut SmallRng| match rng.gen_range(0..3) {
+            0 => var(rng),
+            1 => konst(rng),
+            _ => Expr::app(OpCode::Add, vec![var(rng), konst(rng)]),
+        };
+        let cmps = [
+            OpCode::Lt,
+            OpCode::Le,
+            OpCode::Gt,
+            OpCode::Ge,
+            OpCode::Eq,
+            OpCode::Ne,
+        ];
+        // A mask constant would push a three-variable grid past the
+        // exhaustive budget, so only smaller queries get masked products.
+        let shapes = if vars == 3 { 3 } else { 4 };
+        let about = |rng: &mut SmallRng, v: Expr| match rng.gen_range(0..shapes) {
+            0 | 1 => {
+                let mut operands = vec![v, term(rng)];
+                if rng.gen_bool(0.5) {
+                    operands.reverse();
+                }
+                let cond = Expr::app(pick(rng, &cmps), operands);
+                let wrap = pick(rng, &[OpCode::Ne, OpCode::Eq]);
+                Expr::app(wrap, vec![cond, Expr::constant(0)])
+            }
+            2 => {
+                let addr = Expr::app(OpCode::Add, vec![v, konst(rng)]);
+                Expr::app(OpCode::Eq, vec![addr, konst(rng)])
+            }
+            _ => {
+                let product = Expr::app(OpCode::Mul, vec![v, konst(rng)]);
+                let low = Expr::app(OpCode::And, vec![product, Expr::constant(0x1f)]);
+                Expr::app(
+                    OpCode::Eq,
+                    vec![low, Expr::constant(pick(rng, &pool) & 0x1f)],
+                )
+            }
+        };
+        let mut query: Vec<Expr> = (0..vars).map(|v| about(rng, Expr::var(VarId(v)))).collect();
+        if rng.gen_bool(0.5) {
+            let v = var(rng);
+            query.push(about(rng, v));
+        }
+        query
+    }
+
+    /// The refuted-grid skips are exact: `search` returns the same
+    /// `Option<Model>` as the search without them, on the Figure 1 probe
+    /// and on seeded random queries. Only the two searches are compared,
+    /// never a pinned verdict.
+    #[test]
+    fn search_matches_the_search_without_refuted_grid_skips() {
+        // Figure 1, in-bounds path: can `0x40 + ra` hit secret cell 0x4b?
+        let v0 = x();
+        let figure1 = vec![
+            Expr::app(
+                OpCode::Ne,
+                vec![
+                    Expr::app(OpCode::Gt, vec![Expr::constant(4), v0]),
+                    Expr::constant(0),
+                ],
+            ),
+            Expr::app(
+                OpCode::Eq,
+                vec![
+                    Expr::app(OpCode::Add, vec![v0, Expr::constant(0x40)]),
+                    Expr::constant(0x4b),
+                ],
+            ),
+        ];
+        let mut rng = SmallRng::seed_from_u64(0xe8ac7);
+        let mut queries = vec![(figure1, SolverOptions::default())];
+        for _ in 0..2_000 {
+            let options = SolverOptions {
+                random_probes: pick(&mut rng, &[16, 64]),
+                repair_rounds: pick(&mut rng, &[1, 4]),
+                seed: rng.gen(),
+                ..SolverOptions::default()
+            };
+            queries.push((random_query(&mut rng), options));
+        }
+        // Queries whose grid was refuted, by variable count, and how many
+        // of those a probe still solved off the grid.
+        let mut refuted = [0usize; 4];
+        let mut solved_off_grid = 0;
+        for (i, (constraints, options)) in queries.iter().enumerate() {
+            let s = Solver::with_options(*options);
+            let got = s.search(&mut LocalView::new(), constraints);
+            let (want, grid_refuted) = reference_search(&s, &mut LocalView::new(), constraints);
+            assert_eq!(got, want, "query {i}: {constraints:?}");
+            assert!(
+                i > 0 || grid_refuted,
+                "the Figure 1 probe must reach the skips"
+            );
+            if grid_refuted {
+                let vars: BTreeSet<VarId> = constraints.iter().flat_map(|c| c.vars()).collect();
+                refuted[vars.len()] += 1;
+                solved_off_grid += usize::from(want.is_some());
+            }
+        }
+        assert!(
+            refuted[1..].iter().all(|&n| n >= 50) && solved_off_grid >= 5,
+            "the generator must reach the skips at every variable count: \
+             {refuted:?} refuted, {solved_off_grid} solved off the grid"
+        );
     }
 }

@@ -174,10 +174,15 @@ fn detection_is_deterministic() {
     assert_eq!(sched_a, sched_b);
     // Thread-local cache hits depend on what earlier analyses on this
     // thread left cached (as shared-memo hits would, had this case
-    // issued solver queries) — normalize them; everything else about
-    // the exploration must reproduce exactly.
+    // issued solver queries), and the lock-wait counts on which other
+    // tests in this binary hold the interner and memo locks at the same
+    // moment — normalize them; everything else about the exploration
+    // must reproduce exactly.
     let (mut sa, mut sb) = (a.stats, b.stats);
-    sa.local_cache_hits = 0;
-    sb.local_cache_hits = 0;
+    for stats in [&mut sa, &mut sb] {
+        stats.local_cache_hits = 0;
+        stats.arena_lock_waits = 0;
+        stats.memo_lock_waits = 0;
+    }
     assert_eq!(sa, sb);
 }
