@@ -2,13 +2,8 @@
 //! forwarding-hazard detection — the tractability observation of §4.2
 //! (bound 250 feasible without forwarding hazards, only ~20 with).
 
-
-// Legacy-API coverage: this file deliberately exercises the deprecated
-// `Detector`/`BatchAnalyzer` wrappers to pin their delegation behaviour.
-#![allow(deprecated)]
-
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
-use pitchfork::{Detector, DetectorOptions};
+use pitchfork::{AnalysisSession, DetectorOptions};
 use std::hint::black_box;
 
 fn bench_bound_sweep(c: &mut Criterion) {
@@ -22,7 +17,7 @@ fn bench_bound_sweep(c: &mut Criterion) {
             BenchmarkId::new("v1_mode", bound),
             &bound,
             |b, &bound| {
-                let det = Detector::new(DetectorOptions::v1_mode(bound));
+                let mut det = AnalysisSession::with_options(DetectorOptions::v1_mode(bound));
                 b.iter(|| black_box(det.analyze(&study.program, &study.config).stats.states))
             },
         );
@@ -32,7 +27,7 @@ fn bench_bound_sweep(c: &mut Criterion) {
             BenchmarkId::new("v4_mode", bound),
             &bound,
             |b, &bound| {
-                let det = Detector::new(DetectorOptions::v4_mode(bound));
+                let mut det = AnalysisSession::with_options(DetectorOptions::v4_mode(bound));
                 b.iter(|| black_box(det.analyze(&study.program, &study.config).stats.states))
             },
         );

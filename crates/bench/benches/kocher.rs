@@ -1,13 +1,8 @@
 //! Bench: detection time over the Kocher-style litmus suites (§4.2's
 //! sanity-check corpus), per case and for the whole corpus.
 
-
-// Legacy-API coverage: this file deliberately exercises the deprecated
-// `Detector`/`BatchAnalyzer` wrappers to pin their delegation behaviour.
-#![allow(deprecated)]
-
 use criterion::{criterion_group, criterion_main, Criterion};
-use pitchfork::{Detector, DetectorOptions};
+use pitchfork::{AnalysisSession, DetectorOptions};
 use std::hint::black_box;
 
 fn bench_kocher(c: &mut Criterion) {
@@ -17,7 +12,7 @@ fn bench_kocher(c: &mut Criterion) {
     group.warm_up_time(std::time::Duration::from_millis(500));
     for case in sct_litmus::kocher::all() {
         group.bench_function(case.name, |b| {
-            let detector = Detector::new(DetectorOptions::v1_mode(case.bound));
+            let mut detector = AnalysisSession::with_options(DetectorOptions::v1_mode(case.bound));
             b.iter(|| black_box(detector.analyze(&case.program, &case.config).has_violations()))
         });
     }
@@ -25,9 +20,9 @@ fn bench_kocher(c: &mut Criterion) {
         b.iter(|| {
             let mut flagged = 0usize;
             for case in sct_litmus::all_cases() {
-                let v1 = Detector::new(DetectorOptions::v1_mode(case.bound))
+                let v1 = AnalysisSession::with_options(DetectorOptions::v1_mode(case.bound))
                     .analyze(&case.program, &case.config);
-                let v4 = Detector::new(DetectorOptions::v4_mode(case.bound))
+                let v4 = AnalysisSession::with_options(DetectorOptions::v4_mode(case.bound))
                     .analyze(&case.program, &case.config);
                 flagged += usize::from(v1.has_violations() || v4.has_violations());
             }

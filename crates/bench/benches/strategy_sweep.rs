@@ -9,8 +9,7 @@
 //!
 //! Besides the criterion timings, the bench writes
 //! `BENCH_strategy_sweep.json`: per strategy, the per-gadget
-//! first-witness state count and schedule depth, plus aggregate totals
-//! (the `strategy` tag in the report JSON is the ISSUE 3 satellite).
+//! first-witness state count and schedule depth, plus aggregate totals.
 
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
 use pitchfork::{AnalysisSession, BatchReport, StrategyKind};

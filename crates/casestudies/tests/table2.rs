@@ -8,11 +8,6 @@
 //! * OpenSSL MEE-CBC: C flagged in v1 mode, FaCT only with
 //!   forwarding-hazard detection.
 
-
-// Legacy-API coverage: this file deliberately exercises the deprecated
-// `Detector`/`BatchAnalyzer` wrappers to pin their delegation behaviour.
-#![allow(deprecated)]
-
 use sct_casestudies::table2::{self, Cell};
 use sct_core::sched::sequential::run_sequential;
 use sct_core::Params;
@@ -132,7 +127,7 @@ fn every_strategy_reproduces_the_table2_matrix() {
 /// engine hit its state budget on half the builds).
 #[test]
 fn dedup_preserves_every_table2_verdict() {
-    use pitchfork::{Detector, DetectorOptions};
+    use pitchfork::{AnalysisSession, DetectorOptions};
     for study in table2::all_studies() {
         for (v4, bound) in [(false, V1_BOUND), (true, V4_BOUND)] {
             let mk = |dedup: bool| {
@@ -143,8 +138,9 @@ fn dedup_preserves_every_table2_verdict() {
                 }
                 .dedup(dedup)
             };
-            let on = Detector::new(mk(true)).analyze(&study.program, &study.config);
-            let off = Detector::new(mk(false)).analyze(&study.program, &study.config);
+            let on = AnalysisSession::with_options(mk(true)).analyze(&study.program, &study.config);
+            let off =
+                AnalysisSession::with_options(mk(false)).analyze(&study.program, &study.config);
             // A truncated run's verdict is budget-dependent (the
             // duplicate-blind engine exceeds its budget on some v4
             // builds); only complete explorations are comparable.

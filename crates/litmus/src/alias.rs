@@ -32,10 +32,9 @@ pub fn fig2_gadget() -> (Program, Config) {
 }
 
 #[cfg(test)]
-#[allow(deprecated)] // legacy-API coverage of the Detector wrapper
 mod tests {
     use super::*;
-    use pitchfork::{Detector, DetectorOptions};
+    use pitchfork::{AnalysisSession, DetectorOptions};
 
     #[test]
     fn fig2_gadget_is_sequentially_clean() {
@@ -53,7 +52,7 @@ mod tests {
         // the load's (scratch+2).
         let (p, c) = fig2_gadget();
         for options in [DetectorOptions::v1_mode(16), DetectorOptions::v4_mode(16)] {
-            let report = Detector::new(options).analyze(&p, &c);
+            let report = AnalysisSession::with_options(options).analyze(&p, &c);
             assert!(!report.has_violations(), "{report}");
         }
     }
@@ -61,7 +60,7 @@ mod tests {
     #[test]
     fn fig2_gadget_is_flagged_in_alias_mode() {
         let (p, c) = fig2_gadget();
-        let report = Detector::new(DetectorOptions::alias_mode(16)).analyze(&p, &c);
+        let report = AnalysisSession::with_options(DetectorOptions::alias_mode(16)).analyze(&p, &c);
         assert!(report.has_violations(), "{report}");
         // The witnessing schedule uses the aliasing predictor.
         let v = &report.violations[0];
@@ -78,9 +77,9 @@ mod tests {
     fn alias_mode_agrees_with_v1_on_the_kocher_suite() {
         // The extension must not regress the classic detections.
         for case in crate::kocher::all().into_iter().take(4) {
-            let base = Detector::new(DetectorOptions::v1_mode(case.bound))
+            let base = AnalysisSession::with_options(DetectorOptions::v1_mode(case.bound))
                 .analyze(&case.program, &case.config);
-            let ext = Detector::new(DetectorOptions::alias_mode(case.bound))
+            let ext = AnalysisSession::with_options(DetectorOptions::alias_mode(case.bound))
                 .analyze(&case.program, &case.config);
             assert_eq!(
                 base.has_violations(),

@@ -4,8 +4,8 @@
 //! Beyond the original five sources, the corpus carries every remaining
 //! Kocher-style variant of [`crate::kocher`] and the paper's figure
 //! gadgets in text form, so the `pitchfork` CLI and
-//! [`pitchfork::BatchAnalyzer`] exercise the same programs the builder
-//! suites do. Figure gadgets that need an extension mode (the Figure 2
+//! [`pitchfork::AnalysisSession::run_batch`] exercise the same programs
+//! the builder suites do. Figure gadgets that need an extension mode (the Figure 2
 //! aliasing predictor, the Figure 11 Spectre v2 jump) are expected SAFE
 //! here: the corpus harness runs the paper's v1/v4 modes only.
 

@@ -72,22 +72,21 @@ pub fn retpolined_dispatch() -> (Program, Config) {
 }
 
 #[cfg(test)]
-#[allow(deprecated)] // legacy-API coverage of the Detector wrapper
 mod tests {
     use super::*;
-    use pitchfork::{Detector, DetectorOptions};
+    use pitchfork::{AnalysisSession, DetectorOptions};
 
     #[test]
     fn dispatch_is_clean_without_mistraining() {
         let (p, c) = indirect_dispatch();
-        let report = Detector::new(DetectorOptions::v1_mode(16)).analyze(&p, &c);
+        let report = AnalysisSession::with_options(DetectorOptions::v1_mode(16)).analyze(&p, &c);
         assert!(!report.has_violations(), "{report}");
     }
 
     #[test]
     fn dispatch_is_flagged_with_v2_mistraining() {
         let (p, c) = indirect_dispatch();
-        let report = Detector::new(DetectorOptions::v2_mode(16)).analyze(&p, &c);
+        let report = AnalysisSession::with_options(DetectorOptions::v2_mode(16)).analyze(&p, &c);
         assert!(report.has_violations(), "{report}");
     }
 
@@ -109,7 +108,7 @@ mod tests {
             DetectorOptions::v2_mode(16),
             DetectorOptions::v4_mode(12),
         ] {
-            let report = Detector::new(options).analyze(&p, &c);
+            let report = AnalysisSession::with_options(options).analyze(&p, &c);
             assert!(
                 !report.has_violations(),
                 "retpoline flagged under {options:?}: {report}"

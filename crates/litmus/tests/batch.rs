@@ -3,12 +3,7 @@
 //! deduplication on, never explore more states than the seed's
 //! duplicate-blind engine would.
 
-
-// Legacy-API coverage: this file deliberately exercises the deprecated
-// `Detector`/`BatchAnalyzer` wrappers to pin their delegation behaviour.
-#![allow(deprecated)]
-
-use pitchfork::{BatchAnalyzer, Detector, DetectorOptions};
+use pitchfork::{AnalysisSession, DetectorOptions};
 use sct_litmus::{all_cases, harness};
 
 #[test]
@@ -38,8 +33,8 @@ fn dedup_never_explores_more_and_agrees_everywhere() {
                 }
                 .dedup(dedup)
             };
-            let on = Detector::new(mk(true)).analyze(&case.program, &case.config);
-            let off = Detector::new(mk(false)).analyze(&case.program, &case.config);
+            let on = AnalysisSession::with_options(mk(true)).analyze(&case.program, &case.config);
+            let off = AnalysisSession::with_options(mk(false)).analyze(&case.program, &case.config);
             assert_eq!(
                 on.has_violations(),
                 off.has_violations(),
@@ -65,8 +60,8 @@ fn dedup_never_explores_more_and_agrees_everywhere() {
 #[test]
 fn corpus_batch_stats_accumulate() {
     let cases = all_cases();
-    let batch = BatchAnalyzer::new(DetectorOptions::v1_mode(16))
-        .analyze_all(harness::batch_items(&cases));
+    let batch = AnalysisSession::with_options(DetectorOptions::v1_mode(16))
+        .run_batch(harness::batch_items(&cases));
     let sum: usize = batch.outcomes.iter().map(|o| o.report.stats.states).sum();
     assert_eq!(batch.totals.states, sum);
     assert!(batch.totals.flagged > 0);

@@ -2,12 +2,7 @@
 //! reorder buffer is deep enough to hold the whole transient gadget —
 //! the knob behind the paper's 250-vs-20 trade-off.
 
-
-// Legacy-API coverage: this file deliberately exercises the deprecated
-// `Detector`/`BatchAnalyzer` wrappers to pin their delegation behaviour.
-#![allow(deprecated)]
-
-use pitchfork::{Detector, DetectorOptions};
+use pitchfork::{AnalysisSession, DetectorOptions};
 use sct_litmus::kocher;
 
 #[test]
@@ -15,12 +10,12 @@ fn kocher_01_needs_bound_three() {
     let case = kocher::kocher_01();
     // Bound 2: the branch plus one load fit, but not the transmitter.
     for bound in [1, 2] {
-        let r = Detector::new(DetectorOptions::v1_mode(bound))
+        let r = AnalysisSession::with_options(DetectorOptions::v1_mode(bound))
             .analyze(&case.program, &case.config);
         assert!(!r.has_violations(), "bound {bound} should be too shallow");
     }
     for bound in [3, 4, 8, 32] {
-        let r = Detector::new(DetectorOptions::v1_mode(bound))
+        let r = AnalysisSession::with_options(DetectorOptions::v1_mode(bound))
             .analyze(&case.program, &case.config);
         assert!(r.has_violations(), "bound {bound} should expose the leak");
     }
@@ -52,11 +47,13 @@ fn distant_gadgets_need_wider_windows() {
     // With 6 fillers the gadget needs branch + 6 + 2 loads = 9 slots.
     let (program, config) = distant_gadget(6);
     for bound in [4, 8] {
-        let r = Detector::new(DetectorOptions::v1_mode(bound)).analyze(&program, &config);
+        let r = AnalysisSession::with_options(DetectorOptions::v1_mode(bound))
+            .analyze(&program, &config);
         assert!(!r.has_violations(), "bound {bound} cannot reach the gadget");
     }
     for bound in [9, 16] {
-        let r = Detector::new(DetectorOptions::v1_mode(bound)).analyze(&program, &config);
+        let r = AnalysisSession::with_options(DetectorOptions::v1_mode(bound))
+            .analyze(&program, &config);
         assert!(r.has_violations(), "bound {bound} reaches the gadget");
     }
 }
@@ -68,7 +65,7 @@ fn minimal_flagging_bound_is_monotone() {
     let case = kocher::kocher_05();
     let mut flagged_at = None;
     for bound in 1..=12 {
-        let r = Detector::new(DetectorOptions::v1_mode(bound))
+        let r = AnalysisSession::with_options(DetectorOptions::v1_mode(bound))
             .analyze(&case.program, &case.config);
         if let Some(at) = flagged_at {
             assert!(
@@ -91,7 +88,10 @@ fn exploration_grows_with_bound_and_distance() {
         let mut options = DetectorOptions::v1_mode(bound);
         options.explorer.stop_path_on_violation = false;
         options.explorer.max_violations = usize::MAX;
-        Detector::new(options).analyze(&program, &config).stats.states
+        AnalysisSession::with_options(options)
+            .analyze(&program, &config)
+            .stats
+            .states
     };
     assert!(states(6, 12) > states(6, 4));
     assert!(states(10, 16) > states(2, 16));

@@ -10,7 +10,7 @@ use pitchfork::StrategyKind;
 use sct_litmus::corpus;
 use sct_litmus::harness::{self, run_corpus_with_strategy};
 
-/// All 23 textual corpus entries: all four strategies agree with the
+/// All 23 textual corpus entries: both strategies agree with the
 /// LIFO baseline (and hence the recorded expectations) in both modes.
 #[test]
 fn all_strategies_agree_on_the_corpus() {
@@ -77,8 +77,7 @@ fn first_witness_metrics_track_verdicts() {
 
 /// Every strategy is deterministic: two identical runs produce
 /// identical exploration statistics, including the order-sensitive
-/// first-witness metrics. (Priority strategies tie-break on insertion
-/// sequence for exactly this property.)
+/// first-witness metrics.
 #[test]
 fn strategies_are_deterministic() {
     let cases = corpus::cases();
@@ -149,9 +148,9 @@ fn symbolic_sweep_registers_and_verdicts() {
             .run_batch(items.clone())
     };
     let lifo = run(StrategyKind::Lifo);
-    let likely = run(StrategyKind::ViolationLikely);
+    let fifo = run(StrategyKind::Fifo);
     for outcome in &lifo.outcomes {
-        let other = likely.outcome(&outcome.name).expect("same items");
+        let other = fifo.outcome(&outcome.name).expect("same items");
         assert_eq!(
             outcome.report.has_violations(),
             other.report.has_violations(),

@@ -1,13 +1,9 @@
 //! Batch analysis: many programs through one detector configuration and
 //! one shared expression arena.
 //!
-//! **Compatibility wrapper** — [`BatchAnalyzer`] survives for existing
-//! callers, but it is a thin shell over [`crate::AnalysisSession`],
-//! which owns the batch engine ([`AnalysisSession::run_batch`]), the
-//! cache binding, and the epoch lifecycle. New code should build a
-//! session. The report types here ([`BatchItem`], [`BatchReport`],
-//! [`BatchTotals`]) are the session's batch vocabulary and are not
-//! deprecated.
+//! [`crate::AnalysisSession::run_batch`] is the batch engine; the types
+//! here ([`BatchItem`], [`BatchReport`], [`BatchTotals`]) are its
+//! vocabulary.
 //!
 //! The hash-consed arena (see [`sct_symx::arena_stats`]) is
 //! process-wide, so analyzing a whole corpus in one batch lets later
@@ -15,13 +11,10 @@
 //! earlier ones; [`BatchReport`] surfaces exactly how much structure
 //! was shared, along with aggregate exploration statistics.
 
-use crate::detector::DetectorOptions;
 use crate::report::Report;
-use crate::session::AnalysisSession;
 use sct_core::{Config, Program, Reg};
 use sct_symx::ArenaStats;
 use std::fmt;
-use std::path::PathBuf;
 use std::time::Duration;
 
 /// One program to analyze.
@@ -66,7 +59,7 @@ impl BatchItem {
     }
 
     /// The same item with `regs` symbolized (the batch equivalent of
-    /// [`Detector::analyze_symbolic`]); symbolic analyses exercise the
+    /// [`crate::AnalysisSession::analyze_symbolic`]); symbolic analyses exercise the
     /// constraint solver, so these items populate — and profit from —
     /// the verdict memo.
     pub fn symbolize(mut self, regs: impl IntoIterator<Item = Reg>) -> Self {
@@ -123,7 +116,20 @@ impl BatchTotals {
     }
 }
 
-/// The result of [`BatchAnalyzer::analyze_all`].
+/// The result of [`crate::AnalysisSession::run_batch`].
+///
+/// # Examples
+///
+/// ```
+/// use pitchfork::{AnalysisSession, BatchItem, DetectorOptions};
+/// use sct_core::examples::fig1;
+///
+/// let (program, config) = fig1();
+/// let batch = AnalysisSession::with_options(DetectorOptions::v1_mode(16))
+///     .run_batch(vec![BatchItem::new("fig1", program, config)]);
+/// assert_eq!(batch.totals.programs, 1);
+/// assert_eq!(batch.totals.flagged, 1);
+/// ```
 #[derive(Clone, Debug)]
 pub struct BatchReport {
     /// Per-item outcomes, in input order.
@@ -137,8 +143,8 @@ pub struct BatchReport {
     pub arena_before: ArenaStats,
     /// Arena counters when the batch finished.
     pub arena_after: ArenaStats,
-    /// What the warm-start cache load transferred, when the analyzer
-    /// was built with [`BatchAnalyzer::with_cache`] and the file
+    /// What the warm-start cache load transferred, when the session
+    /// was built with [`crate::SessionBuilder::cache`] and the file
     /// existed.
     pub cache_load: Option<sct_cache::LoadStats>,
     /// Wall-clock time for the whole batch.
@@ -236,97 +242,11 @@ impl fmt::Display for BatchReport {
     }
 }
 
-/// Runs many programs through one detector configuration, sharing the
-/// process-wide expression arena, and reports aggregate statistics.
-///
-/// **Compatibility wrapper**: every call delegates to an
-/// [`AnalysisSession`] ([`AnalysisSession::run_batch`] is the engine);
-/// new code should build the session directly — it additionally offers
-/// strategy selection, observers, and the epoch lifecycle.
-///
-/// With [`BatchAnalyzer::with_cache`] the analyzer also spans
-/// *processes*: it hydrates the arena and the solver-verdict memo from
-/// a snapshot file before analyzing, and [`BatchAnalyzer::save_cache`]
-/// persists the (now warmer) state for the next invocation.
-///
-/// # Examples
-///
-/// ```
-/// use pitchfork::{BatchAnalyzer, BatchItem, DetectorOptions};
-/// use sct_core::examples::fig1;
-///
-/// let (program, config) = fig1();
-/// let batch = BatchAnalyzer::new(DetectorOptions::v1_mode(16))
-///     .analyze_all(vec![BatchItem::new("fig1", program, config)]);
-/// assert_eq!(batch.totals.programs, 1);
-/// assert_eq!(batch.totals.flagged, 1);
-/// ```
-#[derive(Clone, Debug, Default)]
-#[deprecated(note = "use AnalysisSession / SessionService")]
-pub struct BatchAnalyzer {
-    options: DetectorOptions,
-    cache_path: Option<PathBuf>,
-    cache_load: Option<sct_cache::LoadStats>,
-}
-
-#[allow(deprecated)]
-impl BatchAnalyzer {
-    /// A batch analyzer running every item with `options` (modulo
-    /// per-item bound overrides).
-    pub fn new(options: DetectorOptions) -> Self {
-        BatchAnalyzer {
-            options,
-            cache_path: None,
-            cache_load: None,
-        }
-    }
-
-    /// Attach a warm-start cache file: if `path` exists, the expression
-    /// arena and solver-verdict memo are hydrated from it immediately
-    /// (a missing file is a cold start, not an error), and
-    /// [`BatchAnalyzer::save_cache`] will persist to the same path.
-    pub fn with_cache(
-        mut self,
-        path: impl Into<PathBuf>,
-    ) -> Result<Self, sct_cache::CacheError> {
-        let path = path.into();
-        self.cache_load = sct_cache::load_if_exists(&path)?;
-        self.cache_path = Some(path);
-        Ok(self)
-    }
-
-    /// What the warm-start load transferred (`None` before
-    /// [`BatchAnalyzer::with_cache`], or when the file did not exist).
-    pub fn cache_load(&self) -> Option<&sct_cache::LoadStats> {
-        self.cache_load.as_ref()
-    }
-
-    /// Persist the process-wide arena and verdict memo to the path
-    /// given to [`BatchAnalyzer::with_cache`]. Returns `Ok(None)` when
-    /// no cache path is attached.
-    pub fn save_cache(&self) -> Result<Option<sct_cache::SaveStats>, sct_cache::CacheError> {
-        match &self.cache_path {
-            Some(path) => sct_cache::save(path).map(Some),
-            None => Ok(None),
-        }
-    }
-
-    /// Analyze every item, in order, accumulating totals and arena
-    /// deltas. Delegates to a transient [`AnalysisSession`] adopting
-    /// this analyzer's cache binding.
-    pub fn analyze_all(&self, items: impl IntoIterator<Item = BatchItem>) -> BatchReport {
-        AnalysisSession::from_loaded(self.options, self.cache_path.clone(), self.cache_load)
-            .run_batch(items)
-    }
-}
-
-// The wrapper's own coverage keeps speaking the deprecated API — that
-// is the point of the tests.
 #[cfg(test)]
-#[allow(deprecated)]
 mod tests {
     use super::*;
-    use crate::detector::Detector;
+    use crate::detector::DetectorOptions;
+    use crate::session::AnalysisSession;
     use sct_core::examples::fig1;
 
     #[test]
@@ -336,10 +256,10 @@ mod tests {
             BatchItem::new("fig1-a", p.clone(), cfg.clone()),
             BatchItem::with_bound("fig1-b", p.clone(), cfg.clone(), 4),
         ];
-        let batch = BatchAnalyzer::new(DetectorOptions::v1_mode(16)).analyze_all(items);
+        let batch = AnalysisSession::with_options(DetectorOptions::v1_mode(16)).run_batch(items);
         assert_eq!(batch.totals.programs, 2);
         assert_eq!(batch.totals.flagged, 2);
-        let single = Detector::new(DetectorOptions::v1_mode(16)).analyze(&p, &cfg);
+        let single = AnalysisSession::with_options(DetectorOptions::v1_mode(16)).analyze(&p, &cfg);
         let in_batch = &batch.outcome("fig1-a").unwrap().report;
         assert_eq!(in_batch.has_violations(), single.has_violations());
         assert_eq!(in_batch.stats.states, single.stats.states);
@@ -348,8 +268,8 @@ mod tests {
     #[test]
     fn display_summarizes() {
         let (p, cfg) = fig1();
-        let batch = BatchAnalyzer::new(DetectorOptions::v1_mode(8))
-            .analyze_all(vec![BatchItem::new("fig1", p, cfg)]);
+        let batch = AnalysisSession::with_options(DetectorOptions::v1_mode(8))
+            .run_batch(vec![BatchItem::new("fig1", p, cfg)]);
         let text = batch.to_string();
         assert!(text.contains("batch[lifo]: 1 programs"));
         assert!(text.contains("arena:"));

@@ -196,8 +196,7 @@ impl Client {
     /// Submit `.sasm` source with a baseline record from a previous
     /// run (the incremental CI-gate path): a daemon whose recomputed
     /// fingerprint matches replays the baseline verdict without
-    /// exploring; any mismatch — or a pre-v6 daemon, which ignores the
-    /// extra field — runs the job in full.
+    /// exploring; any mismatch runs the job in full.
     pub fn submit_source_diff(
         &mut self,
         name: impl Into<String>,

@@ -1,18 +1,26 @@
-//! The classic single-program detector API.
-//!
-//! **Compatibility wrapper** — [`Detector`] survives for existing
-//! callers and delegates to [`crate::AnalysisSession`]; new code should
-//! build a session ([`crate::SessionBuilder`]), which adds strategy
-//! selection, observers, caching, and the epoch lifecycle.
-//! [`DetectorOptions`] remains the canonical options bundle either way.
+//! The detector's options bundle: the paper's analysis modes (§4.2.1)
+//! and their extensions, as explorer options plus machine parameters.
+//! Analyses run through [`crate::AnalysisSession`], configured with a
+//! [`DetectorOptions`] via [`crate::SessionBuilder::options`] or
+//! [`crate::AnalysisSession::with_options`].
 
 use crate::explorer::ExplorerOptions;
-use crate::report::Report;
-use crate::session::AnalysisSession;
 use crate::strategy::StrategyKind;
-use sct_core::{Config, Params, Program, Reg};
+use sct_core::Params;
 
-/// Detector options: explorer options plus machine parameters.
+/// The detector's options: explorer options plus machine parameters.
+///
+/// # Examples
+///
+/// ```
+/// use pitchfork::{AnalysisSession, DetectorOptions};
+/// use sct_core::examples::fig1;
+///
+/// let (program, config) = fig1();
+/// let mut session = AnalysisSession::with_options(DetectorOptions::default());
+/// let report = session.analyze(&program, &config);
+/// assert!(report.has_violations());
+/// ```
 #[derive(Clone, Copy, Debug, Default)]
 pub struct DetectorOptions {
     /// Worst-case schedule exploration options.
@@ -93,69 +101,17 @@ impl DetectorOptions {
     }
 }
 
-/// The Pitchfork detector: generates worst-case schedules and
-/// symbolically executes the program under each, flagging secret-labeled
-/// observations.
-///
-/// # Examples
-///
-/// ```
-/// use pitchfork::{Detector, DetectorOptions};
-/// use sct_core::examples::fig1;
-///
-/// let (program, config) = fig1();
-/// let report = Detector::new(DetectorOptions::default()).analyze(&program, &config);
-/// assert!(report.has_violations());
-/// ```
-#[derive(Clone, Copy, Debug, Default)]
-#[deprecated(note = "use AnalysisSession / SessionService")]
-pub struct Detector {
-    options: DetectorOptions,
-}
-
-#[allow(deprecated)]
-impl Detector {
-    /// A detector with the given options.
-    pub fn new(options: DetectorOptions) -> Self {
-        Detector { options }
-    }
-
-    /// Analyze a program from a concrete initial configuration
-    /// (delegates to a transient [`AnalysisSession`]).
-    pub fn analyze(&self, program: &Program, config: &Config) -> Report {
-        AnalysisSession::with_options(self.options).analyze_symbolic(program, config, &[])
-    }
-
-    /// Analyze with the given registers replaced by fresh symbolic
-    /// inputs (labels taken from the concrete configuration), covering
-    /// all public input values instead of the one in `config`.
-    pub fn analyze_symbolic(
-        &self,
-        program: &Program,
-        config: &Config,
-        symbolic_regs: &[Reg],
-    ) -> Report {
-        AnalysisSession::with_options(self.options).analyze_symbolic(
-            program,
-            config,
-            symbolic_regs,
-        )
-    }
-}
-
-// The wrapper's own coverage keeps speaking the deprecated API — that
-// is the point of the tests.
 #[cfg(test)]
-#[allow(deprecated)]
 mod tests {
     use super::*;
+    use crate::session::AnalysisSession;
     use sct_core::examples::fig1;
     use sct_core::reg::names::RA;
 
     #[test]
     fn default_detector_flags_fig1() {
         let (p, cfg) = fig1();
-        let report = Detector::new(DetectorOptions::default()).analyze(&p, &cfg);
+        let report = AnalysisSession::with_options(DetectorOptions::default()).analyze(&p, &cfg);
         assert!(report.has_violations());
     }
 
@@ -165,8 +121,8 @@ mod tests {
         // the mispredicted out-of-bounds path carry a symbolic index.
         let (p, mut cfg) = fig1();
         cfg.regs.write(RA, sct_core::Val::public(1));
-        let d = Detector::new(DetectorOptions::default());
-        let report = d.analyze_symbolic(&p, &cfg, &[RA]);
+        let mut session = AnalysisSession::with_options(DetectorOptions::default());
+        let report = session.analyze_symbolic(&p, &cfg, &[RA]);
         assert!(report.has_violations(), "{report}");
     }
 

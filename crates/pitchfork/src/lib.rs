@@ -16,7 +16,7 @@
 //! let (program, config) = fig1();
 //! let mut session = AnalysisSession::builder()
 //!     .v1_mode(20)                         // §4.2.1 Spectre v1 mode
-//!     .strategy(StrategyKind::DeepestRob)  // frontier order
+//!     .strategy(StrategyKind::Fifo)        // frontier order
 //!     .build()
 //!     .unwrap();
 //! let report = session.analyze(&program, &config);
@@ -29,12 +29,11 @@
 //! * **Options** — detector mode ([`DetectorOptions::v1_mode`] /
 //!   [`DetectorOptions::v4_mode`] and the alias/v2 extensions), bounds,
 //!   deduplication, and state budgets, set through [`SessionBuilder`];
-//! * **Search strategy** — the frontier order is a first-class
-//!   [`SearchStrategy`] trait with four built-ins selectable via
-//!   [`StrategyKind`] (`lifo`, `fifo`, `deepest-rob`,
-//!   `violation-likely`, also the CLI's `--strategy`). Every strategy
-//!   reaches the same verdict — the corpus equivalence tests pin this —
-//!   but states-to-first-witness differ, which is what matters under a
+//! * **Search strategy** — the frontier order, one of the two
+//!   [`StrategyKind`]s `lifo` (depth-first, the default) and `fifo`
+//!   (breadth-first), also the CLI's `--strategy`. Both reach the same
+//!   verdict — the corpus equivalence tests pin this — but
+//!   states-to-first-witness differ, which is what matters under a
 //!   budget;
 //! * **Typed verdicts** — [`Report::verdict`] returns a [`Verdict`]
 //!   ([`Verdict::Secure`] / [`Verdict::Insecure`] /
@@ -389,16 +388,6 @@
 //!   bytes — and assert the merged verdicts stay byte-identical to a
 //!   clean run; `fault_injected_total` counts what actually fired.
 //!
-//! # Compatibility wrappers
-//!
-//! [`Detector`] and [`BatchAnalyzer`], the pre-session entry points,
-//! remain as thin delegating wrappers and are now
-//! `#[deprecated]`: `Detector::analyze` is session-analyze with
-//! default wiring, `BatchAnalyzer::analyze_all` is
-//! [`AnalysisSession::run_batch`]. Their tests keep pinning the
-//! delegation; new code should build an [`AnalysisSession`] (or a
-//! [`service::SessionService`]).
-//!
 //! # Engine layers
 //!
 //! * [`SymMachine`] lifts the reference semantics to symbolic values
@@ -436,12 +425,8 @@ pub mod state;
 pub mod strategy;
 pub mod transport;
 
-#[allow(deprecated)]
-pub use batch::BatchAnalyzer;
 pub use batch::{BatchItem, BatchOutcome, BatchReport, BatchTotals};
 pub use client::{Client, ClientError, JobView};
-#[allow(deprecated)]
-pub use detector::Detector;
 pub use detector::DetectorOptions;
 pub use explorer::{Explorer, ExplorerOptions};
 pub use incremental::{

@@ -88,8 +88,8 @@ fn usage() -> ! {
     eprintln!("  --bound N        speculation bound (default 20; paper: 250 without");
     eprintln!("                   forwarding hazards, 20 with)");
     eprintln!("  --fwd-hazards    explore store-forwarding hazards (Spectre v4 mode)");
-    eprintln!("  --strategy NAME  frontier order: lifo (default), fifo, deepest-rob,");
-    eprintln!("                   violation-likely — same verdicts, different");
+    eprintln!("  --strategy NAME  frontier order: lifo (depth-first, default) or fifo");
+    eprintln!("                   (breadth-first) — same verdicts, different");
     eprintln!("                   states-to-first-witness");
     eprintln!("  --threads N      worker threads per exploration (default 1 = serial;");
     eprintln!("                   0 = adaptive: start serial, spill to one worker per");

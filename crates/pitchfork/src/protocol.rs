@@ -12,7 +12,12 @@
 //! [`Verdict`], [`ExploreStats`], [`OwnedEvent`], [`ServiceStats`],
 //! [`JobStatus`], and the rendered violation ([`WireViolation`],
 //! carrying `sct-core`/`sct-symx` display forms) keep their field and
-//! kind names fixed so daemon and client can skew by a version.
+//! kind names fixed. There is one protocol version, and every field is
+//! required except those whose absence carries a meaning: a submit's
+//! `bound`, `strategy`, `threads`, `max_states`, `deadline_ms` and
+//! `symbolic` (absent = inherit the daemon's setting, or none), and a
+//! verdicts line's `verdict`, `stats`, `violations`, `error`,
+//! `elapsed_ms` and `clamped_states` (absent until they exist).
 //!
 //! ```
 //! use pitchfork::protocol::Request;
@@ -521,8 +526,7 @@ pub enum Request {
     /// without exploring.
     ///
     /// On the wire this is a `submit` line with an extra `baseline`
-    /// object — pre-v6 daemons parse it tolerantly, ignore the unknown
-    /// field, and simply run the job in full.
+    /// object.
     SubmitDiff {
         /// Display name for the job.
         name: String,
@@ -675,13 +679,12 @@ impl Request {
                     mode,
                     bound: json.opt_u64_field("bound")?.map(|b| b as usize),
                     strategy,
-                    // 0 (or absent, for older clients) inherits the
-                    // daemon session's parallelism.
+                    // Absent (0) inherits the daemon session's
+                    // parallelism.
                     threads: json.opt_u64_field("threads")?.unwrap_or(0) as usize,
-                    // Absent (pre-v5 clients) inherits the daemon's
-                    // state budget.
+                    // Absent inherits the daemon's state budget.
                     max_states: json.opt_u64_field("max_states")?.map(|n| n as usize),
-                    // Absent (pre-deadline clients) means no cut-off.
+                    // Absent means no cut-off.
                     deadline_ms: json.opt_u64_field("deadline_ms")?,
                     symbolic,
                 };
@@ -834,12 +837,11 @@ pub enum Response {
         /// The failure message for [`JobStatus::Failed`] jobs.
         error: Option<String>,
         /// Wall-clock milliseconds the job has been (or was) running
-        /// (`None` while queued, from older daemons, or for
-        /// failed-at-submission jobs).
+        /// (`None` while queued or for failed-at-submission jobs).
         elapsed_ms: Option<u64>,
         /// When the submitted per-job state budget exceeded the
         /// daemon's cap, the budget actually applied (`None` when no
-        /// clamp happened or from older daemons).
+        /// clamp happened).
         clamped_states: Option<u64>,
     },
     /// A slice of a job's event stream.
@@ -854,7 +856,7 @@ pub enum Response {
         /// the last batch of the subscription.
         done: bool,
         /// Events this job has lost to the daemon's retention cap so
-        /// far (0 normally; absent on older daemons).
+        /// far (0 normally).
         dropped: u64,
     },
     /// Service statistics.
@@ -979,9 +981,10 @@ fn explore_stats_to_json(s: &ExploreStats) -> Json {
 }
 
 fn explore_stats_from_json(json: &Json) -> Result<ExploreStats, ProtocolError> {
-    // The strategy string must map back to a `&'static str`; unknown
-    // names (a newer daemon) degrade to the default rather than erroring
-    // a whole verdict line away.
+    // The strategy string must map back to a `&'static str`; names that
+    // are not a built-in strategy (a baseline replay reports its
+    // baseline's name, which may be anything) degrade to the default
+    // rather than erroring a whole verdict line away.
     let strategy = StrategyKind::parse(json.str_field("strategy")?)
         .map(StrategyKind::name)
         .unwrap_or("lifo");
@@ -1002,17 +1005,14 @@ fn explore_stats_from_json(json: &Json) -> Result<ExploreStats, ProtocolError> {
         solver_memo_hits: json.u64_field("solver_memo_hits")? as usize,
         solver_memo_misses: json.u64_field("solver_memo_misses")? as usize,
         solver_memo_evicted: json.u64_field("solver_memo_evicted")? as usize,
-        // Added after the v1 wire format: tolerate their absence (an
-        // older daemon) and default to the serial engine's values.
-        threads: json.opt_u64_field("threads")?.unwrap_or(1) as usize,
-        arena_lock_waits: json.opt_u64_field("arena_lock_waits")?.unwrap_or(0) as usize,
-        memo_lock_waits: json.opt_u64_field("memo_lock_waits")?.unwrap_or(0) as usize,
-        steals: json.opt_u64_field("steals")?.unwrap_or(0) as usize,
-        steal_fails: json.opt_u64_field("steal_fails")?.unwrap_or(0) as usize,
-        local_cache_hits: json.opt_u64_field("local_cache_hits")?.unwrap_or(0) as usize,
+        threads: json.u64_field("threads")? as usize,
+        arena_lock_waits: json.u64_field("arena_lock_waits")? as usize,
+        memo_lock_waits: json.u64_field("memo_lock_waits")? as usize,
+        steals: json.u64_field("steals")? as usize,
+        steal_fails: json.u64_field("steal_fails")? as usize,
+        local_cache_hits: json.u64_field("local_cache_hits")? as usize,
         truncated: json.bool_field("truncated")?,
-        // Post-deadline wire format: absent from older daemons.
-        deadline_exceeded: matches!(json.get("deadline_exceeded"), Some(Json::Bool(true))),
+        deadline_exceeded: json.bool_field("deadline_exceeded")?,
     })
 }
 
@@ -1107,191 +1107,67 @@ fn violation_from_json(json: &Json) -> Result<WireViolation, ProtocolError> {
     })
 }
 
-/// The original (v1) `ServiceStats` wire fields, in stable order.
-/// Required on parse; fields added later are listed in
-/// `SERVICE_STAT_FIELDS_V2` and tolerated when absent, so a new client
-/// can read an old daemon's stats line.
-const SERVICE_STAT_FIELDS: [&str; 16] = [
-    "jobs_submitted",
-    "jobs_done",
-    "jobs_failed",
-    "queued",
-    "epochs_retired",
-    "jobs_since_retire",
-    "arena_nodes",
-    "arena_epoch",
-    "memo_entries",
-    "memo_capacity",
-    "memo_hits",
-    "memo_misses",
-    "memo_evicted",
-    "memo_stale_dropped",
-    "last_reload_nodes",
-    "last_reload_verdicts",
-];
-
-/// Fields added with concurrent job execution (parse defaults to 0).
-const SERVICE_STAT_FIELDS_V2: [&str; 3] = ["in_flight", "arena_lock_waits", "memo_lock_waits"];
-
-/// Fields added with the work-stealing engine — per-job-exact steal
-/// and thread-cache counters (parse defaults to 0, same tolerance as
-/// the v2 set).
-const SERVICE_STAT_FIELDS_V3: [&str; 3] = ["steals", "steal_fails", "local_cache_hits"];
-
-/// Fields added with telemetry — job-latency roll-ups and the event
-/// retention-drop counter (parse defaults to 0, same tolerance as the
-/// v2/v3 sets).
-const SERVICE_STAT_FIELDS_V4: [&str; 4] = [
-    "queue_wait_ms_total",
-    "run_ms_total",
-    "jobs_timed",
-    "events_dropped",
-];
-
-/// Fields added with fleet mode — cancellation, budget clamping, and
-/// snapshot seeding counters (parse defaults to 0, same tolerance as
-/// the v2–v4 sets).
-const SERVICE_STAT_FIELDS_V5: [&str; 4] = [
-    "jobs_cancelled",
-    "budget_clamped_jobs",
-    "seed_nodes_added",
-    "seed_verdicts_imported",
-];
-
-/// Fields added with the robustness work — per-job deadlines and the
-/// daemon's write-ahead job journal (parse defaults to 0, same
-/// tolerance as the v2–v5 sets).
-const SERVICE_STAT_FIELDS_V6: [&str; 2] = ["jobs_timed_out", "jobs_replayed"];
-
-fn service_stats_values(s: &ServiceStats) -> [u64; 16] {
+/// The `ServiceStats` wire schema: every field's wire name, in stable
+/// order, paired with its slot. Every field is required on parse.
+fn service_stat_fields(s: &mut ServiceStats) -> [(&'static str, &mut u64); 32] {
     [
-        s.jobs_submitted,
-        s.jobs_done,
-        s.jobs_failed,
-        s.queued,
-        s.epochs_retired,
-        s.jobs_since_retire,
-        s.arena_nodes,
-        s.arena_epoch,
-        s.memo_entries,
-        s.memo_capacity,
-        s.memo_hits,
-        s.memo_misses,
-        s.memo_evicted,
-        s.memo_stale_dropped,
-        s.last_reload_nodes,
-        s.last_reload_verdicts,
+        ("jobs_submitted", &mut s.jobs_submitted),
+        ("jobs_done", &mut s.jobs_done),
+        ("jobs_failed", &mut s.jobs_failed),
+        ("queued", &mut s.queued),
+        ("epochs_retired", &mut s.epochs_retired),
+        ("jobs_since_retire", &mut s.jobs_since_retire),
+        ("arena_nodes", &mut s.arena_nodes),
+        ("arena_epoch", &mut s.arena_epoch),
+        ("memo_entries", &mut s.memo_entries),
+        ("memo_capacity", &mut s.memo_capacity),
+        ("memo_hits", &mut s.memo_hits),
+        ("memo_misses", &mut s.memo_misses),
+        ("memo_evicted", &mut s.memo_evicted),
+        ("memo_stale_dropped", &mut s.memo_stale_dropped),
+        ("last_reload_nodes", &mut s.last_reload_nodes),
+        ("last_reload_verdicts", &mut s.last_reload_verdicts),
+        ("in_flight", &mut s.in_flight),
+        ("arena_lock_waits", &mut s.arena_lock_waits),
+        ("memo_lock_waits", &mut s.memo_lock_waits),
+        ("steals", &mut s.steals),
+        ("steal_fails", &mut s.steal_fails),
+        ("local_cache_hits", &mut s.local_cache_hits),
+        ("queue_wait_ms_total", &mut s.queue_wait_ms_total),
+        ("run_ms_total", &mut s.run_ms_total),
+        ("jobs_timed", &mut s.jobs_timed),
+        ("events_dropped", &mut s.events_dropped),
+        ("jobs_cancelled", &mut s.jobs_cancelled),
+        ("budget_clamped_jobs", &mut s.budget_clamped_jobs),
+        ("seed_nodes_added", &mut s.seed_nodes_added),
+        ("seed_verdicts_imported", &mut s.seed_verdicts_imported),
+        ("jobs_timed_out", &mut s.jobs_timed_out),
+        ("jobs_replayed", &mut s.jobs_replayed),
     ]
 }
 
 fn service_stats_to_json(s: &ServiceStats) -> Json {
-    let mut fields: Vec<(String, Json)> = SERVICE_STAT_FIELDS
-        .iter()
-        .zip(service_stats_values(s))
-        .map(|(k, v)| ((*k).to_string(), Json::Int(v as i128)))
-        .collect();
-    for (k, v) in SERVICE_STAT_FIELDS_V2
-        .iter()
-        .zip([s.in_flight, s.arena_lock_waits, s.memo_lock_waits])
-    {
-        fields.push(((*k).to_string(), Json::Int(v as i128)));
-    }
-    for (k, v) in SERVICE_STAT_FIELDS_V3
-        .iter()
-        .zip([s.steals, s.steal_fails, s.local_cache_hits])
-    {
-        fields.push(((*k).to_string(), Json::Int(v as i128)));
-    }
-    for (k, v) in SERVICE_STAT_FIELDS_V4.iter().zip([
-        s.queue_wait_ms_total,
-        s.run_ms_total,
-        s.jobs_timed,
-        s.events_dropped,
-    ]) {
-        fields.push(((*k).to_string(), Json::Int(v as i128)));
-    }
-    for (k, v) in SERVICE_STAT_FIELDS_V5.iter().zip([
-        s.jobs_cancelled,
-        s.budget_clamped_jobs,
-        s.seed_nodes_added,
-        s.seed_verdicts_imported,
-    ]) {
-        fields.push(((*k).to_string(), Json::Int(v as i128)));
-    }
-    for (k, v) in SERVICE_STAT_FIELDS_V6
-        .iter()
-        .zip([s.jobs_timed_out, s.jobs_replayed])
-    {
-        fields.push(((*k).to_string(), Json::Int(v as i128)));
-    }
-    Json::Obj(fields)
+    let mut s = *s;
+    Json::Obj(
+        service_stat_fields(&mut s)
+            .into_iter()
+            .map(|(k, v)| (k.to_string(), Json::Int(*v as i128)))
+            .collect(),
+    )
 }
 
 fn service_stats_from_json(json: &Json) -> Result<ServiceStats, ProtocolError> {
-    let mut v = [0u64; 16];
-    for (slot, key) in v.iter_mut().zip(SERVICE_STAT_FIELDS) {
+    let mut stats = ServiceStats::default();
+    for (key, slot) in service_stat_fields(&mut stats) {
         *slot = json.u64_field(key)?;
     }
-    let mut v2 = [0u64; 3];
-    for (slot, key) in v2.iter_mut().zip(SERVICE_STAT_FIELDS_V2) {
-        *slot = json.opt_u64_field(key)?.unwrap_or(0);
-    }
-    let mut v3 = [0u64; 3];
-    for (slot, key) in v3.iter_mut().zip(SERVICE_STAT_FIELDS_V3) {
-        *slot = json.opt_u64_field(key)?.unwrap_or(0);
-    }
-    let mut v4 = [0u64; 4];
-    for (slot, key) in v4.iter_mut().zip(SERVICE_STAT_FIELDS_V4) {
-        *slot = json.opt_u64_field(key)?.unwrap_or(0);
-    }
-    let mut v5 = [0u64; 4];
-    for (slot, key) in v5.iter_mut().zip(SERVICE_STAT_FIELDS_V5) {
-        *slot = json.opt_u64_field(key)?.unwrap_or(0);
-    }
-    let mut v6 = [0u64; 2];
-    for (slot, key) in v6.iter_mut().zip(SERVICE_STAT_FIELDS_V6) {
-        *slot = json.opt_u64_field(key)?.unwrap_or(0);
-    }
-    Ok(ServiceStats {
-        jobs_submitted: v[0],
-        jobs_done: v[1],
-        jobs_failed: v[2],
-        queued: v[3],
-        epochs_retired: v[4],
-        jobs_since_retire: v[5],
-        arena_nodes: v[6],
-        arena_epoch: v[7],
-        memo_entries: v[8],
-        memo_capacity: v[9],
-        memo_hits: v[10],
-        memo_misses: v[11],
-        memo_evicted: v[12],
-        memo_stale_dropped: v[13],
-        last_reload_nodes: v[14],
-        last_reload_verdicts: v[15],
-        in_flight: v2[0],
-        arena_lock_waits: v2[1],
-        memo_lock_waits: v2[2],
-        steals: v3[0],
-        steal_fails: v3[1],
-        local_cache_hits: v3[2],
-        queue_wait_ms_total: v4[0],
-        run_ms_total: v4[1],
-        jobs_timed: v4[2],
-        events_dropped: v4[3],
-        jobs_cancelled: v5[0],
-        budget_clamped_jobs: v5[1],
-        seed_nodes_added: v5[2],
-        seed_verdicts_imported: v5[3],
-        jobs_timed_out: v6[0],
-        jobs_replayed: v6[1],
-    })
+    Ok(stats)
 }
 
 /// One metric in wire form: flat scalar fields plus the bucket array
-/// for histograms. Tolerant on parse — `sum_ns` / `max_ns` / `buckets`
-/// default to empty (counters and gauges never carry them, and a
-/// shorter bucket array from an older build still decodes).
+/// for histograms. `sum_ns` / `max_ns` / `buckets` default to empty on
+/// parse (counters and gauges never carry them), and `max_job` to 0
+/// (only written when an exemplar was recorded).
 fn metric_to_json(m: &MetricSnapshot) -> Json {
     let mut fields = vec![
         ("name".into(), Json::Str(m.name.clone())),
@@ -1341,7 +1217,7 @@ fn metric_from_json(json: &Json) -> Result<MetricSnapshot, ProtocolError> {
         value: json.u64_field("value")?,
         sum_ns: json.opt_u64_field("sum_ns")?.unwrap_or(0),
         max_ns: json.opt_u64_field("max_ns")?.unwrap_or(0),
-        // Exemplar job id; absent on pre-fleet daemons.
+        // Exemplar job id; absent when none was recorded.
         max_job: json.opt_u64_field("max_job")?.unwrap_or(0),
         buckets,
     })
@@ -1477,9 +1353,9 @@ impl Response {
                     stats,
                     violations,
                     error: json.opt_str_field("error")?.map(String::from),
-                    // Tolerant: absent on daemons predating telemetry.
+                    // Absent while queued and for jobs that never ran.
                     elapsed_ms: json.opt_u64_field("elapsed_ms")?,
-                    // Tolerant: absent on daemons predating fleet mode.
+                    // Absent when no clamp happened.
                     clamped_states: json.opt_u64_field("clamped_states")?,
                 })
             }
@@ -1494,8 +1370,7 @@ impl Response {
                     events,
                     next: json.u64_field("next")?,
                     done: json.bool_field("done")?,
-                    // Tolerant: absent on daemons predating retention.
-                    dropped: json.opt_u64_field("dropped")?.unwrap_or(0),
+                    dropped: json.u64_field("dropped")?,
                 })
             }
             "stats" => Ok(Response::Stats {
@@ -1551,7 +1426,7 @@ mod tests {
                 spec: JobSpec {
                     mode: JobMode::V4,
                     bound: Some(20),
-                    strategy: Some(StrategyKind::DeepestRob),
+                    strategy: Some(StrategyKind::Lifo),
                     threads: 4,
                     max_states: Some(10_000),
                     deadline_ms: Some(2_500),
@@ -1601,9 +1476,8 @@ mod tests {
 
     #[test]
     fn submit_diff_wire_form_is_a_submit_line() {
-        // Pre-v6 compatibility: the diff submit is a plain `submit`
-        // line plus a `baseline` object an old daemon ignores. Strip
-        // the extra field and the line must parse as a plain submit.
+        // The diff submit is a plain `submit` line plus a `baseline`
+        // object.
         let req = Request::SubmitDiff {
             name: "gate".into(),
             source: ".entry L1\nL1:\n    ret\n".into(),
@@ -1776,67 +1650,122 @@ mod tests {
         }
     }
 
-    #[test]
-    fn pre_v4_lines_still_parse() {
-        // A stats object with only the v1 fields (an old daemon): the
-        // v2/v3/v4 additions default to zero.
-        let mut fields: Vec<(String, Json)> =
-            vec![("resp".to_string(), Json::Str("stats".into()))];
-        let inner: Vec<(String, Json)> = SERVICE_STAT_FIELDS
-            .iter()
-            .map(|k| ((*k).to_string(), Json::Int(7)))
-            .collect();
-        fields.push(("stats".to_string(), Json::Obj(inner)));
-        let line = Json::Obj(fields).to_line();
-        let Response::Stats { stats } = Response::parse(&line).unwrap() else {
-            panic!("expected stats");
-        };
-        assert_eq!(stats.jobs_submitted, 7);
-        assert_eq!(stats.queue_wait_ms_total, 0);
-        assert_eq!(stats.jobs_timed, 0);
-        assert_eq!(stats.events_dropped, 0);
-
-        // An event batch without `dropped` and a verdicts line without
-        // `elapsed_ms` (both pre-telemetry daemons).
-        let batch = r#"{"resp":"events","id":1,"events":[],"next":0,"done":true}"#;
-        let Response::EventBatch { dropped, .. } = Response::parse(batch).unwrap() else {
-            panic!("expected events");
-        };
-        assert_eq!(dropped, 0);
-        let verdicts = r#"{"resp":"verdicts","id":1,"status":"queued"}"#;
-        let Response::Verdicts { elapsed_ms, .. } = Response::parse(verdicts).unwrap() else {
-            panic!("expected verdicts");
-        };
-        assert_eq!(elapsed_ms, None);
+    /// `line` with the first `"key":value` member named `key` removed
+    /// (the fixtures below only drop scalar members).
+    fn without_field(line: &str, key: &str) -> String {
+        let start = line.find(&format!("\"{key}\":")).expect("field present");
+        let end = start + line[start..].find([',', '}']).expect("member ends");
+        let (head, tail) = (&line[..start], &line[end..]);
+        match (head.strip_suffix(','), tail.strip_prefix(',')) {
+            (_, Some(rest)) => format!("{head}{rest}"),
+            (Some(head), None) => format!("{head}{tail}"),
+            (None, None) => format!("{head}{tail}"),
+        }
     }
 
     #[test]
-    fn pre_v5_lines_still_parse() {
-        // A submit from a pre-fleet client carries no max_states; the
-        // daemon must read it as "inherit the server default".
-        let submit = r#"{"req":"submit","name":"fig1","source":"x","mode":"v1","threads":1}"#;
+    fn stats_lines_missing_a_field_are_rejected() {
+        // One schema: a stats object lacking any service counter is an
+        // error, never a silent zero.
+        let stats = Response::Stats {
+            stats: ServiceStats::default(),
+        }
+        .to_line();
+        assert!(Response::parse(&stats).is_ok());
+        let metrics = Response::Metrics {
+            stats: ServiceStats::default(),
+            metrics: vec![],
+        }
+        .to_line();
+        for (key, _) in service_stat_fields(&mut ServiceStats::default()) {
+            for line in [&stats, &metrics] {
+                let cut = without_field(line, key);
+                assert!(
+                    Response::parse(&cut).is_err(),
+                    "accepted without `{key}`: {cut}"
+                );
+            }
+        }
+        // Every exploration counter of a verdicts line is required too.
+        let verdicts = Response::Verdicts {
+            id: 1,
+            status: JobStatus::Done,
+            verdict: Some(Verdict::Secure),
+            stats: Some(ExploreStats::default()),
+            violations: vec![],
+            error: None,
+            elapsed_ms: Some(3),
+            clamped_states: None,
+        }
+        .to_line();
+        assert!(Response::parse(&verdicts).is_ok());
+        for key in [
+            "states",
+            "deduped",
+            "frontier_peak",
+            "schedules",
+            "steps",
+            "solver_queries",
+            "solver_memo_hits",
+            "solver_memo_misses",
+            "solver_memo_evicted",
+            "threads",
+            "arena_lock_waits",
+            "memo_lock_waits",
+            "steals",
+            "steal_fails",
+            "local_cache_hits",
+            "truncated",
+            "deadline_exceeded",
+        ] {
+            let cut = without_field(&verdicts, key);
+            assert!(
+                Response::parse(&cut).is_err(),
+                "accepted without `{key}`: {cut}"
+            );
+        }
+        // So is an event batch's retention-drop count.
+        let batch = r#"{"resp":"events","id":1,"events":[],"next":0,"done":true}"#;
+        assert!(Response::parse(batch).is_err());
+    }
+
+    #[test]
+    fn meaningful_optional_fields_parse_as_absent() {
+        // A bare submit inherits the daemon's strategy, parallelism and
+        // state budget, and runs without a deadline.
+        let submit = r#"{"req":"submit","name":"fig1","source":"x","mode":"v1"}"#;
         let Request::Submit { spec, .. } = Request::parse(submit).unwrap() else {
             panic!("expected submit");
         };
-        assert_eq!(spec.max_states, None);
+        assert_eq!(spec, JobSpec::default());
+        assert_eq!(
+            (
+                spec.bound,
+                spec.strategy,
+                spec.threads,
+                spec.max_states,
+                spec.deadline_ms
+            ),
+            (None, None, 0, None, None)
+        );
 
-        // A verdicts line from a pre-fleet daemon has no clamped_states.
-        let verdicts = r#"{"resp":"verdicts","id":1,"status":"done"}"#;
-        let Response::Verdicts { clamped_states, .. } = Response::parse(verdicts).unwrap()
+        // A queued job's verdicts line has no run time and no clamp.
+        let verdicts = r#"{"resp":"verdicts","id":1,"status":"queued"}"#;
+        let Response::Verdicts {
+            elapsed_ms,
+            clamped_states,
+            ..
+        } = Response::parse(verdicts).unwrap()
         else {
             panic!("expected verdicts");
         };
-        assert_eq!(clamped_states, None);
+        assert_eq!((elapsed_ms, clamped_states), (None, None));
 
-        // A metric without max_job (pre-exemplar daemon) reads as
-        // "no exemplar recorded".
-        let stats: Vec<(String, Json)> = SERVICE_STAT_FIELDS
-            .iter()
-            .map(|k| ((*k).to_string(), Json::Int(0)))
-            .collect();
+        // A histogram without an exemplar reads as "none recorded".
+        let stats = service_stats_to_json(&ServiceStats::default());
         let metrics = Json::Obj(vec![
             ("resp".to_string(), Json::Str("metrics".into())),
-            ("stats".to_string(), Json::Obj(stats.clone())),
+            ("stats".to_string(), stats),
             (
                 "metrics".to_string(),
                 Json::Arr(vec![Json::Obj(vec![
@@ -1853,26 +1782,6 @@ mod tests {
             panic!("expected metrics");
         };
         assert_eq!(metrics[0].max_job, 0);
-
-        // Stats with only v1–v4 fields: the v5 additions default to 0.
-        let mut fields: Vec<(String, Json)> =
-            vec![("resp".to_string(), Json::Str("stats".into()))];
-        let inner: Vec<(String, Json)> = SERVICE_STAT_FIELDS
-            .iter()
-            .chain(SERVICE_STAT_FIELDS_V2.iter())
-            .chain(SERVICE_STAT_FIELDS_V3.iter())
-            .chain(SERVICE_STAT_FIELDS_V4.iter())
-            .map(|k| ((*k).to_string(), Json::Int(3)))
-            .collect();
-        fields.push(("stats".to_string(), Json::Obj(inner)));
-        let Response::Stats { stats } = Response::parse(&Json::Obj(fields).to_line()).unwrap()
-        else {
-            panic!("expected stats");
-        };
-        assert_eq!(stats.jobs_cancelled, 0);
-        assert_eq!(stats.budget_clamped_jobs, 0);
-        assert_eq!(stats.seed_nodes_added, 0);
-        assert_eq!(stats.seed_verdicts_imported, 0);
     }
 
     #[test]
@@ -1887,14 +1796,11 @@ mod tests {
         }
         // Unknown metric kinds and negative buckets are errors, not
         // panics or silent misreads.
-        let stats: Vec<(String, Json)> = SERVICE_STAT_FIELDS
-            .iter()
-            .map(|k| ((*k).to_string(), Json::Int(0)))
-            .collect();
+        let stats = service_stats_to_json(&ServiceStats::default());
         let mk = |metric: Json| {
             Json::Obj(vec![
                 ("resp".to_string(), Json::Str("metrics".into())),
-                ("stats".to_string(), Json::Obj(stats.clone())),
+                ("stats".to_string(), stats.clone()),
                 ("metrics".to_string(), Json::Arr(vec![metric])),
             ])
             .to_line()

@@ -193,7 +193,7 @@ impl fmt::Display for JobMode {
 /// fields inherit the session's setting.
 #[derive(Clone, Debug, Default, PartialEq, Eq)]
 pub struct JobSpec {
-    /// Detector mode.
+    /// Analysis mode (v1, v4, alias or v2).
     pub mode: JobMode,
     /// Speculation-bound override (`None` = the session's bound).
     pub bound: Option<usize>,
@@ -546,9 +546,7 @@ impl JobEntry {
 
 struct MonitorInner {
     jobs: BTreeMap<u64, JobEntry>,
-    /// The job currently analyzing (events are appended to it).
-    current: Option<u64>,
-    /// Events outside any job (epoch retirements between jobs).
+    /// Events outside any job (epoch retirements).
     service_events: Vec<OwnedEvent>,
     /// Events lost to per-job retention, summed over every job
     /// (retained *and* already-evicted records).
@@ -578,7 +576,6 @@ impl ServiceMonitor {
         ServiceMonitor {
             inner: Arc::new(Mutex::new(MonitorInner {
                 jobs: BTreeMap::new(),
-                current: None,
                 service_events: Vec::new(),
                 events_dropped_total: 0,
                 trace: None,
@@ -750,26 +747,18 @@ impl ServiceMonitor {
         }
     }
 
-    fn set_current(&self, id: Option<JobId>) {
-        self.lock().current = id.map(JobId::as_u64);
-    }
-
-    fn record_event(&self, event: OwnedEvent) {
+    /// Append a service-level event (the session's own events: epoch
+    /// retirements).
+    fn record_service_event(&self, event: OwnedEvent) {
         let mut inner = self.lock();
-        match inner.current {
-            Some(id) => Self::push_event(&mut inner, id, event),
-            None => {
-                Self::trace_event(&inner.trace, None, &event);
-                if inner.service_events.len() < MAX_EVENTS_PER_JOB {
-                    inner.service_events.push(event);
-                }
-            }
+        Self::trace_event(&inner.trace, None, &event);
+        if inner.service_events.len() < MAX_EVENTS_PER_JOB {
+            inner.service_events.push(event);
         }
     }
 
-    /// Append an event to an explicit job's log — the routing used by
-    /// concurrent job execution, where several jobs stream at once and
-    /// a single `current` pointer cannot attribute events.
+    /// Append an event to a job's log (several running jobs stream at
+    /// once, each under its own id).
     fn record_event_for(&self, id: JobId, event: OwnedEvent) {
         let mut inner = self.lock();
         Self::push_event(&mut inner, id.as_u64(), event);
@@ -913,8 +902,8 @@ impl ServiceMonitor {
         self.lock().events_dropped_total
     }
 
-    /// Service-level events (epoch retirements between jobs) from index
-    /// `since` on, with the next cursor.
+    /// Service-level events (epoch retirements) from index `since` on,
+    /// with the next cursor.
     pub fn service_events_since(&self, since: usize) -> (Vec<OwnedEvent>, usize) {
         let inner = self.lock();
         let start = since.min(inner.service_events.len());
@@ -1028,16 +1017,16 @@ impl FinishedJob {
 /// A long-lived analysis service: one [`AnalysisSession`], a FIFO job
 /// queue, and the epoch-retire policy.
 ///
-/// Two execution styles ship. The classic serial loop —
-/// [`SessionService::submit`] enqueues, [`SessionService::run_next`] /
-/// [`SessionService::run_pending`] execute through the owned session —
-/// and **bounded concurrent execution**: [`SessionService::begin_next`]
-/// pops a self-contained [`PreparedJob`] that runs off the service
-/// lock, so K transport workers analyze K jobs simultaneously against
-/// the lock-striped arena/memo ([`SessionService::run_concurrent`] is
-/// the in-process form; [`crate::server`] spawns `--jobs K` worker
-/// threads). Epoch retirement — the one operation that must be alone —
-/// is deferred until the in-flight count drains.
+/// Every job takes one path: [`SessionService::submit`] enqueues,
+/// [`SessionService::begin_next`] pops a self-contained
+/// [`PreparedJob`], [`PreparedJob::run`] analyzes it off the service
+/// lock, and [`SessionService::finish`] publishes the result. The
+/// drivers only differ in how many jobs they keep in flight:
+/// [`SessionService::run_pending`] runs one at a time,
+/// [`SessionService::run_concurrent`] runs K at once against the
+/// lock-striped arena/memo, and [`crate::server`] spawns `--jobs K`
+/// worker threads. Epoch retirement — the one operation that must be
+/// alone — is deferred until the in-flight count drains.
 pub struct SessionService {
     session: AnalysisSession,
     monitor: ServiceMonitor,
@@ -1060,9 +1049,9 @@ pub struct SessionService {
     last_reload: Option<sct_cache::LoadStats>,
     last_retire_error: Option<String>,
     /// Work-stealing counters rolled up from every finished job's
-    /// report (`run_next` and `finish` both feed these, so jobs run
-    /// concurrently off the service lock are attributed exactly
-    /// rather than sampled from a process-wide gauge at quiesce).
+    /// report in `finish`, so jobs run concurrently off the service
+    /// lock are attributed exactly rather than sampled from a
+    /// process-wide gauge at quiesce.
     job_steals: u64,
     job_steal_fails: u64,
     job_local_cache_hits: u64,
@@ -1097,7 +1086,7 @@ impl SessionService {
         let monitor = ServiceMonitor::new();
         let tap = monitor.clone();
         session.observe(Box::new(move |e: &Event<'_>| {
-            tap.record_event(OwnedEvent::from(e))
+            tap.record_service_event(OwnedEvent::from(e))
         }));
         SessionService {
             session,
@@ -1223,8 +1212,8 @@ impl SessionService {
         id
     }
 
-    /// Enqueue a job; it runs when [`SessionService::run_next`] reaches
-    /// it (FIFO).
+    /// Enqueue a job; it runs when [`SessionService::begin_next`]
+    /// reaches it (FIFO).
     pub fn submit(&mut self, job: Job) -> JobId {
         let id = self.fresh_id();
         self.jobs_submitted += 1;
@@ -1305,127 +1294,6 @@ impl SessionService {
         self.monitor.status(id)
     }
 
-    /// Run the oldest queued job to completion, then apply the retire
-    /// policy. Returns the job's id, or `None` when the queue is empty.
-    pub fn run_next(&mut self) -> Option<JobId> {
-        let (id, job, submitted) = self.queue.pop_front()?;
-        // A queued job whose cancel flag was set never runs: it turns
-        // terminal `Cancelled` with no report.
-        if self
-            .monitor
-            .cancel_handle(id)
-            .is_some_and(|c| c.load(Ordering::Acquire))
-        {
-            self.jobs_cancelled += 1;
-            self.monitor.finish_unrun_cancelled(id);
-            return Some(id);
-        }
-        let started = Instant::now();
-        let queue_wait_ns = sct_telemetry::saturating_ns(started.duration_since(submitted));
-        self.monitor.set_status(id, JobStatus::Running);
-        self.monitor.set_current(Some(id));
-
-        // Per-job overrides are scoped to the job: snapshot the
-        // session's options (the daemon's configured defaults) and
-        // restore them afterwards, so one job's `--bound 12` or v4 mode
-        // never leaks into the next job's "inherit the session" case.
-        let saved_options = *self.session.options();
-        let bound = job.spec.bound.unwrap_or(saved_options.explorer.spec_bound);
-        let mut options = job.spec.mode.options(bound);
-        options.explorer.max_states =
-            self.resolve_state_budget(id, job.spec.max_states, saved_options.explorer.max_states);
-        options.explorer.deadline_ms = job.spec.deadline_ms;
-        self.session.set_options(options);
-        if let Some(s) = job.spec.strategy {
-            self.session.set_strategy(s);
-        }
-        if job.spec.threads > 0 {
-            self.session.set_parallelism(job.spec.threads);
-        }
-        // Baseline replay: a job carrying a matching fingerprint (same
-        // basic-block hashes, same effective analysis configuration)
-        // skips exploration entirely and re-reports the baseline
-        // verdict. The fingerprint is recomputed here from the *fully
-        // resolved* options, so a stale or foreign baseline can only
-        // cost time (full re-analysis), never correctness.
-        if let Some(b) = job.baseline.as_ref() {
-            let resolved = *self.session.options();
-            let fp = entry_fingerprint(
-                &block_hashes(&job.program),
-                config_tag(&resolved, bound, &job.spec.symbolic),
-            );
-            if fp == b.fingerprint {
-                let b = b.clone();
-                self.session.set_options(saved_options);
-                self.session.set_strategy(saved_options.explorer.strategy);
-                self.session.set_parallelism(saved_options.explorer.threads);
-                self.monitor.set_current(None);
-                self.finalize_replay(id, &job.name, &b, queue_wait_ns);
-                return Some(id);
-            }
-            if sct_telemetry::enabled() {
-                sct_telemetry::counter(sct_telemetry::names::INCR_REANALYZED_TOTAL).inc();
-            }
-        }
-        let report = self
-            .session
-            .analyze_symbolic(&job.program, &job.config, &job.spec.symbolic);
-        self.session.set_options(saved_options);
-        self.session.set_strategy(saved_options.explorer.strategy);
-        self.session.set_parallelism(saved_options.explorer.threads);
-
-        let timed_out = report.stats.deadline_exceeded;
-        if timed_out {
-            self.note_timeout();
-        } else {
-            self.jobs_done += 1;
-        }
-        self.jobs_since_retire += 1;
-        self.absorb_job_stats(&report.stats);
-        self.note_job_timing(
-            id,
-            queue_wait_ns,
-            sct_telemetry::saturating_ns(started.elapsed()),
-        );
-        // Make this thread's buffered check-latency spans visible to a
-        // metrics scrape right after the job.
-        sct_symx::flush_thread_telemetry();
-        // Apply the retire policy while this job is still `current`, so
-        // the `EpochRetired` event lands in the *triggering job's* log
-        // — per-job streams are the only events a daemon client can
-        // subscribe to, and they must show the retirements their jobs
-        // cause. The terminal `ItemFinished` follows it, and only then
-        // does the status flip to Done (streamers that read a terminal
-        // status are guaranteed the complete log).
-        if self
-            .policy
-            .due(self.jobs_since_retire, sct_symx::arena_stats().nodes)
-        {
-            if let Err(e) = self.retire() {
-                // The job itself succeeded; remember the lifecycle
-                // failure for the next stats/error query instead of
-                // failing the job.
-                self.last_retire_error = Some(e.to_string());
-            }
-        }
-        self.monitor.record_event(OwnedEvent::ItemFinished {
-            name: job.name.clone(),
-            flagged: report.has_violations(),
-            states: report.stats.states,
-        });
-        self.monitor.set_current(None);
-        self.monitor.finish(
-            id,
-            report,
-            if timed_out {
-                JobStatus::TimedOut
-            } else {
-                JobStatus::Done
-            },
-        );
-        Some(id)
-    }
-
     /// Resolve a job's effective state budget against the daemon's
     /// `cap`: `None` inherits the cap, a request above it is clamped
     /// down (counted, and surfaced on the job's record).
@@ -1441,10 +1309,15 @@ impl SessionService {
         }
     }
 
-    /// Drain the queue; returns how many jobs ran.
+    /// Drain the queue one job at a time (each job is finished, and
+    /// any due retirement applied, before the next begins); returns how
+    /// many jobs ran. Cancelled queue entries and baseline replays are
+    /// finalized without running and are not counted.
     pub fn run_pending(&mut self) -> usize {
         let mut n = 0;
-        while self.run_next().is_some() {
+        while let Some(job) = self.begin_next() {
+            let done = job.run();
+            self.finish(done);
             n += 1;
         }
         n
@@ -1463,8 +1336,7 @@ impl SessionService {
     /// [`PreparedJob::run`] on a worker thread — several concurrently —
     /// and hand the [`FinishedJob`] back to
     /// [`SessionService::finish`]. Per-job overrides resolve against
-    /// the session's current defaults exactly as
-    /// [`SessionService::run_next`] does.
+    /// the session's defaults; the session itself is never modified.
     ///
     /// Safe concurrency falls out of the substrate: the expression
     /// arena and solver memo are lock-striped process-wide state, and
@@ -1498,9 +1370,15 @@ impl SessionService {
             options.explorer.max_states =
                 self.resolve_state_budget(id, job.spec.max_states, defaults.explorer.max_states);
             options.explorer.deadline_ms = job.spec.deadline_ms;
-            // Baseline replay (see `run_next`): a matching fingerprint
-            // finalizes the job here — it never becomes a prepared job
-            // or counts toward the in-flight retirement deferral.
+            // Baseline replay: a job carrying a matching fingerprint
+            // (same basic-block hashes, same effective analysis
+            // configuration) skips exploration and re-reports the
+            // baseline verdict. The fingerprint is recomputed here from
+            // the *fully resolved* options, so a stale or foreign
+            // baseline can only cost time (full re-analysis), never
+            // correctness. A replayed job is finalized here — it never
+            // becomes a prepared job or counts toward the in-flight
+            // retirement deferral.
             if let Some(b) = job.baseline.as_ref() {
                 let fp = entry_fingerprint(
                     &block_hashes(&job.program),
@@ -1718,7 +1596,10 @@ mod tests {
         let id = svc.submit(Job::new("fig1", p, cfg));
         assert_eq!(svc.status(id), Some(JobStatus::Queued));
         assert!(svc.has_pending());
-        assert_eq!(svc.run_next(), Some(id));
+        let prepared = svc.begin_next().expect("queued job");
+        assert_eq!(prepared.id(), id);
+        assert_eq!(svc.status(id), Some(JobStatus::Running));
+        svc.finish(prepared.run());
         let rec = svc.record(id).unwrap();
         assert_eq!(rec.status, JobStatus::Done);
         assert!(matches!(
@@ -1735,10 +1616,14 @@ mod tests {
         let (p, cfg) = fig1();
         let a = svc.submit(Job::new("a", p.clone(), cfg.clone()));
         let b = svc.submit(Job::new("b", p, cfg));
-        assert_eq!(svc.run_next(), Some(a));
+        let first = svc.begin_next().expect("two queued jobs");
+        assert_eq!(first.id(), a);
+        svc.finish(first.run());
         assert_eq!(svc.status(b), Some(JobStatus::Queued));
-        assert_eq!(svc.run_next(), Some(b));
-        assert_eq!(svc.run_next(), None);
+        let second = svc.begin_next().expect("one queued job");
+        assert_eq!(second.id(), b);
+        svc.finish(second.run());
+        assert!(svc.begin_next().is_none());
     }
 
     #[test]
@@ -1750,7 +1635,7 @@ mod tests {
         assert!(rec.error.is_some());
         assert_eq!(svc.stats().jobs_failed, 1);
         // Failed submissions never enter the queue.
-        assert_eq!(svc.run_next(), None);
+        assert_eq!(svc.run_pending(), 0);
     }
 
     #[test]
@@ -1796,8 +1681,10 @@ mod tests {
         // Matching fingerprint: replayed without exploring. The record
         // carries the baseline's verdict (witnesses included, which the
         // synthesized report cannot reconstruct) and its state count.
-        let warm = svc.submit(Job::new("fig1", p.clone(), cfg.clone()).with_baseline(baseline.clone()));
-        assert_eq!(svc.run_next(), Some(warm));
+        let warm =
+            svc.submit(Job::new("fig1", p.clone(), cfg.clone()).with_baseline(baseline.clone()));
+        assert_eq!(svc.run_pending(), 0, "a replay runs no exploration");
+        assert_eq!(svc.in_flight(), 0);
         let warm_rec = svc.record(warm).unwrap();
         assert_eq!(warm_rec.status, JobStatus::Done);
         assert_eq!(warm_rec.replayed, Some(verdict));
@@ -1806,15 +1693,6 @@ mod tests {
         assert_eq!(warm_report.stats.schedules, baseline.schedules);
         assert!(warm_report.violations.is_empty());
 
-        // The concurrent path replays too: the job never becomes a
-        // PreparedJob, so begin_next drains straight to None.
-        let inline = svc.submit(Job::new("fig1", p.clone(), cfg.clone()).with_baseline(baseline.clone()));
-        assert!(svc.begin_next().is_none());
-        assert_eq!(svc.in_flight(), 0);
-        let rec = svc.record(inline).unwrap();
-        assert_eq!(rec.status, JobStatus::Done);
-        assert_eq!(rec.replayed, Some(verdict));
-
         // A stale fingerprint falls back to full analysis: the verdict
         // is recomputed (witnesses present) and nothing is replayed.
         let stale = JobBaseline {
@@ -1822,7 +1700,7 @@ mod tests {
             ..baseline
         };
         let full = svc.submit(Job::new("fig1", p, cfg).with_baseline(stale));
-        assert_eq!(svc.run_next(), Some(full));
+        assert_eq!(svc.run_pending(), 1);
         let full_rec = svc.record(full).unwrap();
         assert_eq!(full_rec.replayed, None);
         assert!(!full_rec.report.as_ref().unwrap().violations.is_empty());
@@ -1880,8 +1758,7 @@ mod tests {
         svc.run_pending();
         let report = svc.record(id).unwrap().report.clone().unwrap();
         assert_eq!(report.stats.strategy, "fifo");
-        // The session's own defaults survive the per-job overrides:
-        // strategy, bound, and mode are all restored after the job.
+        // Per-job overrides never touch the session's own defaults.
         assert_eq!(svc.session().strategy(), StrategyKind::Lifo);
         assert_eq!(svc.session().options().explorer.spec_bound, 16);
         assert!(!svc.session().options().explorer.forwarding_hazards);
@@ -2032,7 +1909,7 @@ mod tests {
         let (p, cfg) = fig1();
         let id = svc.submit(Job::new("doomed", p, cfg));
         assert_eq!(monitor.request_cancel(id), Some(JobStatus::Queued));
-        assert_eq!(svc.run_next(), Some(id));
+        assert_eq!(svc.run_pending(), 0, "a reaped job never runs");
         let rec = svc.record(id).unwrap();
         assert_eq!(rec.status, JobStatus::Cancelled);
         assert!(rec.report.is_none());
@@ -2042,6 +1919,59 @@ mod tests {
         assert_eq!(monitor.request_cancel(id), Some(JobStatus::Cancelled));
         // Unknown ids answer None so the transport can report an error.
         assert_eq!(monitor.request_cancel(JobId::from_u64(999)), None);
+    }
+
+    #[test]
+    fn cancel_during_run_pending_stops_the_running_job() {
+        // A chain of branches explored without deduplication has
+        // 2^40 schedules and no leak, so an unlimited state budget is
+        // never reached: only the cancel (or, if it were ignored, the
+        // deadline) can end this job.
+        let mut source = String::from(".entry b0\n.reg ra = 1\n");
+        for i in 0..40 {
+            source.push_str(&format!("b{i}:\n    br gt(4, ra), b{n}, b{n}\n", n = i + 1));
+        }
+        source.push_str("b40:\n");
+        let session = AnalysisSession::builder()
+            .v1_mode(250)
+            .dedup(false)
+            .max_states(usize::MAX)
+            .build()
+            .unwrap();
+        let mut svc = SessionService::new(session);
+        let spec = JobSpec {
+            deadline_ms: Some(5_000),
+            ..JobSpec::default()
+        };
+        let id = svc.submit_source("endless", &source, spec);
+        assert_eq!(svc.status(id), Some(JobStatus::Queued));
+        // The canceller acts once the job is running, whenever that is.
+        let monitor = svc.monitor();
+        let canceller = std::thread::spawn(move || loop {
+            match monitor.status(id) {
+                Some(JobStatus::Running) => break monitor.request_cancel(id),
+                Some(s) if s.is_terminal() => break Some(s),
+                _ => std::thread::sleep(std::time::Duration::from_millis(1)),
+            }
+        });
+        assert_eq!(svc.run_pending(), 1);
+        assert_eq!(canceller.join().unwrap(), Some(JobStatus::Running));
+        let rec = svc.record(id).unwrap();
+        assert_eq!(rec.status, JobStatus::Cancelled);
+        let stats = rec
+            .report
+            .expect("cancelled jobs keep their partial report")
+            .stats;
+        assert!(
+            stats.truncated,
+            "a cancelled exploration reports as truncated"
+        );
+        assert!(
+            !stats.deadline_exceeded,
+            "the cancel, not the deadline, stopped it"
+        );
+        assert_eq!(svc.stats().jobs_cancelled, 1);
+        assert_eq!(svc.stats().jobs_timed_out, 0);
     }
 
     #[test]

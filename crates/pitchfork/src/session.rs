@@ -5,9 +5,7 @@
 //! Everything the crate can do — single-program analysis, symbolic
 //! inputs, corpus batches, warm-start persistence, epoch retirement —
 //! goes through [`AnalysisSession`], configured once via
-//! [`SessionBuilder`]. The older [`crate::Detector`] and
-//! [`crate::BatchAnalyzer`] entry points survive as thin compatibility
-//! wrappers over a session.
+//! [`SessionBuilder`].
 //!
 //! ```
 //! use pitchfork::{AnalysisSession, StrategyKind};
@@ -16,7 +14,7 @@
 //! let (program, config) = fig1();
 //! let mut session = AnalysisSession::builder()
 //!     .v1_mode(20)
-//!     .strategy(StrategyKind::DeepestRob)
+//!     .strategy(StrategyKind::Fifo)
 //!     .build()
 //!     .unwrap();
 //! let report = session.analyze(&program, &config);
@@ -181,8 +179,7 @@ impl SessionBuilder {
 ///
 /// A session is the *only* place the crate wires solver state, cache
 /// files, and epochs together; the CLI, the litmus harness, the Table 2
-/// driver, and the examples all construct one (directly or through the
-/// compatibility wrappers).
+/// driver, and the examples all construct one.
 pub struct AnalysisSession {
     options: DetectorOptions,
     symbolic: Vec<Reg>,
@@ -198,32 +195,14 @@ impl AnalysisSession {
         SessionBuilder::new()
     }
 
-    /// An uncached session over `options` (infallible; the wrapper path
-    /// for [`crate::Detector`]).
+    /// An uncached session over `options` (infallible, unlike
+    /// [`SessionBuilder::build`], which may load a cache).
     pub fn with_options(options: DetectorOptions) -> Self {
         AnalysisSession {
             options,
             symbolic: Vec::new(),
             cache_path: None,
             cache_load: None,
-            observers: Vec::new(),
-            epochs_retired: 0,
-        }
-    }
-
-    /// A session adopting an already-performed cache load (the
-    /// compatibility path for [`crate::BatchAnalyzer::with_cache`],
-    /// which hydrates at construction time).
-    pub(crate) fn from_loaded(
-        options: DetectorOptions,
-        cache_path: Option<PathBuf>,
-        cache_load: Option<sct_cache::LoadStats>,
-    ) -> Self {
-        AnalysisSession {
-            options,
-            symbolic: Vec::new(),
-            cache_path,
-            cache_load,
             observers: Vec::new(),
             epochs_retired: 0,
         }
@@ -237,10 +216,8 @@ impl AnalysisSession {
     /// Swap detector options mid-session: mode changes between batches
     /// reuse the session's cache/epoch state. The session's sticky
     /// knobs — search strategy, deduplication, and parallelism —
-    /// survive the swap, mirroring the builder's mode setters; change
-    /// them with [`AnalysisSession::set_strategy`] /
-    /// [`AnalysisSession::set_dedup`] /
-    /// [`AnalysisSession::set_parallelism`].
+    /// survive the swap, mirroring the builder's mode setters;
+    /// deduplication can be changed with [`AnalysisSession::set_dedup`].
     pub fn set_options(&mut self, options: DetectorOptions) {
         let strategy = self.options.explorer.strategy;
         let dedup = self.options.explorer.dedup_states;
@@ -261,20 +238,10 @@ impl AnalysisSession {
         self.options.explorer.strategy
     }
 
-    /// Change the frontier order for subsequent analyses.
-    pub fn set_strategy(&mut self, strategy: StrategyKind) {
-        self.options.explorer.strategy = strategy;
-    }
-
     /// The configured worker-thread count (see
     /// [`SessionBuilder::parallelism`]).
     pub fn parallelism(&self) -> usize {
         self.options.explorer.threads
-    }
-
-    /// Change the worker-thread count for subsequent analyses.
-    pub fn set_parallelism(&mut self, threads: usize) {
-        self.options.explorer.threads = threads;
     }
 
     /// What the warm-start load transferred (`None` without a cache, or
@@ -328,9 +295,8 @@ impl AnalysisSession {
         explorer.explore_observed(initial, &mut self.observers)
     }
 
-    /// Analyze every item in order — the batch engine behind
-    /// [`crate::BatchAnalyzer::analyze_all`] — accumulating totals and
-    /// arena deltas, streaming an [`Event::ItemFinished`] per item.
+    /// Analyze every item in order, accumulating totals and arena
+    /// deltas and streaming an [`Event::ItemFinished`] per item.
     ///
     /// Per-item `bound` and `symbolic` settings override the session's;
     /// the expression arena is shared across items (and, with a cache,
@@ -547,13 +513,14 @@ mod tests {
     use std::sync::{Arc, Mutex};
 
     #[test]
-    #[allow(deprecated)]
     fn session_matches_detector() {
+        // The builder's mode setter and the bare detector options
+        // bundle configure the same analysis.
         let (p, cfg) = fig1();
         let mut session = AnalysisSession::builder().v1_mode(16).build().unwrap();
         let from_session = session.analyze(&p, &cfg);
         let from_detector =
-            crate::Detector::new(DetectorOptions::v1_mode(16)).analyze(&p, &cfg);
+            AnalysisSession::with_options(DetectorOptions::v1_mode(16)).analyze(&p, &cfg);
         assert_eq!(from_session.verdict(), from_detector.verdict());
         assert_eq!(from_session.stats.states, from_detector.stats.states);
     }
@@ -599,27 +566,9 @@ mod tests {
         );
     }
 
-    #[test]
-    fn retire_starts_a_new_epoch() {
-        let (p, cfg) = fig1();
-        let dir = std::env::temp_dir();
-        let path = dir.join(format!("sct_session_retire_{}.cache", std::process::id()));
-        let _ = std::fs::remove_file(&path);
-        let mut session = AnalysisSession::builder()
-            .v1_mode(16)
-            .cache(&path)
-            .build()
-            .unwrap();
-        assert!(session.cache_load().is_none(), "no snapshot yet");
-        let before = session.analyze(&p, &cfg);
-        let reloaded = session.retire().unwrap().expect("snapshot written");
-        assert!(reloaded.added > 0, "warm start hydrates nodes");
-        assert_eq!(session.epochs_retired(), 1);
-        let after = session.analyze(&p, &cfg);
-        assert_eq!(before.verdict(), after.verdict());
-        assert_eq!(before.stats.states, after.stats.states);
-        let _ = std::fs::remove_file(&path);
-    }
+    // Epoch retirement (`retire_starts_a_new_epoch`) is covered in
+    // `tests/serve_e2e.rs`: retiring invalidates the process-wide
+    // arena, so it must not race the other unit tests in this binary.
 
     #[test]
     fn incremental_replays_unchanged_and_dirties_config_changes() {

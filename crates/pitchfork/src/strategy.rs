@@ -1,46 +1,37 @@
-//! Pluggable frontier orders for the worklist explorer.
+//! Frontier orders for the worklist explorer.
 //!
 //! The explorer of [`crate::explorer`] is agnostic to the order in
 //! which frontier states are expanded: any order visits the same set of
 //! distinct states (the visited set is order-insensitive), so every
 //! strategy reaches the same *verdict* — but the number of states
-//! expanded before the **first witness** differs wildly. Under a tight
-//! state budget the right order is the difference between finding a
-//! violation and truncating without one; the strategy-equivalence test
-//! suite pins the former invariant, the `strategy_sweep` bench measures
-//! the latter.
+//! expanded before the **first witness** differs. Under a tight state
+//! budget the order decides whether a violation is found before the
+//! search truncates; the strategy-equivalence test suite pins the
+//! verdict invariant, the `strategy_sweep` bench measures the rest.
 //!
-//! Four orders ship:
+//! Two orders ship:
 //!
-//! * [`Lifo`] — depth-first (the historical default): follows one
-//!   schedule to completion before backtracking, cheap and
-//!   cache-friendly;
+//! * [`Lifo`] — depth-first (the default): follows one schedule to
+//!   completion before backtracking, cheap and cache-friendly;
 //! * [`Fifo`] — breadth-first: finds *shortest* witness schedules,
-//!   at the cost of a wide frontier;
-//! * [`DeepestRob`] — priority on reorder-buffer occupancy: states
-//!   speculating most deeply expand first, on the theory that Spectre
-//!   witnesses live at maximal transient depth;
-//! * [`ViolationLikely`] — priority on a leak-proximity score:
-//!   unresolved branches in flight (mis-speculation in progress) and
-//!   pending loads (the instructions that produce observations) weigh
-//!   a state up.
+//!   at the cost of a wide frontier.
 //!
-//! Strategies are selected by [`StrategyKind`] (builder- and
-//! CLI-facing) or injected as custom [`SearchStrategy`] trait objects
-//! via [`crate::SessionBuilder`].
+//! Strategies are selected by [`StrategyKind`] (builder-, job- and
+//! CLI-facing); the explorer builds a fresh [`SearchStrategy`] frontier
+//! from it for every exploration.
 
-use crate::state::{SymState, SymTransient};
-use std::collections::{BinaryHeap, VecDeque};
+use crate::state::SymState;
+use std::collections::VecDeque;
 
 /// A frontier order: the mutable worklist the explorer pushes successor
 /// states into and pops the next state to expand from.
 ///
 /// One strategy instance lives for exactly one exploration; the
 /// explorer constructs a fresh frontier per [`crate::Explorer::explore`]
-/// call through [`StrategyKind::frontier`] (or the session's custom
-/// factory). Implementations must be deterministic: two explorations of
-/// the same program with the same options must pop states in the same
-/// order, or reports stop being reproducible. (Parallel exploration
+/// call through [`StrategyKind::frontier`]. Implementations must be
+/// deterministic: two explorations of the same program with the same
+/// options must pop states in the same order, or reports stop being
+/// reproducible. (Parallel exploration
 /// gives each worker its own private frontier of this type and
 /// rebalances by donating batches between workers, so *global* pop
 /// order additionally depends on steal timing there — each worker
@@ -76,29 +67,17 @@ pub enum StrategyKind {
     Lifo,
     /// Breadth-first queue order.
     Fifo,
-    /// Deepest reorder-buffer occupancy first.
-    DeepestRob,
-    /// Highest leak-proximity score first.
-    ViolationLikely,
 }
 
 impl StrategyKind {
     /// Every built-in strategy, in canonical order.
-    pub const ALL: [StrategyKind; 4] = [
-        StrategyKind::Lifo,
-        StrategyKind::Fifo,
-        StrategyKind::DeepestRob,
-        StrategyKind::ViolationLikely,
-    ];
+    pub const ALL: [StrategyKind; 2] = [StrategyKind::Lifo, StrategyKind::Fifo];
 
-    /// The stable name (`lifo`, `fifo`, `deepest-rob`,
-    /// `violation-likely`).
+    /// The stable name (`lifo`, `fifo`).
     pub fn name(self) -> &'static str {
         match self {
             StrategyKind::Lifo => "lifo",
             StrategyKind::Fifo => "fifo",
-            StrategyKind::DeepestRob => "deepest-rob",
-            StrategyKind::ViolationLikely => "violation-likely",
         }
     }
 
@@ -115,8 +94,6 @@ impl StrategyKind {
         match self {
             StrategyKind::Lifo => Box::new(Lifo::default()),
             StrategyKind::Fifo => Box::new(Fifo::default()),
-            StrategyKind::DeepestRob => Box::new(DeepestRob::default()),
-            StrategyKind::ViolationLikely => Box::new(ViolationLikely::default()),
         }
     }
 }
@@ -176,160 +153,6 @@ impl SearchStrategy for Fifo {
     }
 }
 
-/// A heap entry: priority score, then LIFO on insertion sequence so
-/// ties behave depth-first (and the order is fully deterministic).
-struct Scored {
-    score: u64,
-    seq: u64,
-    state: SymState,
-}
-
-impl PartialEq for Scored {
-    fn eq(&self, other: &Self) -> bool {
-        self.score == other.score && self.seq == other.seq
-    }
-}
-
-impl Eq for Scored {}
-
-impl PartialOrd for Scored {
-    fn partial_cmp(&self, other: &Self) -> Option<std::cmp::Ordering> {
-        Some(self.cmp(other))
-    }
-}
-
-impl Ord for Scored {
-    fn cmp(&self, other: &Self) -> std::cmp::Ordering {
-        self.score
-            .cmp(&other.score)
-            .then(self.seq.cmp(&other.seq))
-    }
-}
-
-/// A max-heap frontier over a scoring function.
-struct Priority {
-    heap: BinaryHeap<Scored>,
-    seq: u64,
-    score: fn(&SymState) -> u64,
-}
-
-impl Priority {
-    fn new(score: fn(&SymState) -> u64) -> Self {
-        Priority {
-            heap: BinaryHeap::new(),
-            seq: 0,
-            score,
-        }
-    }
-
-    fn push(&mut self, state: SymState) {
-        self.seq += 1;
-        self.heap.push(Scored {
-            score: (self.score)(&state),
-            seq: self.seq,
-            state,
-        });
-    }
-
-    fn pop(&mut self) -> Option<SymState> {
-        self.heap.pop().map(|s| s.state)
-    }
-
-    fn len(&self) -> usize {
-        self.heap.len()
-    }
-}
-
-/// Deepest reorder buffer first: expand the state speculating furthest
-/// ahead. Spectre witnesses need transient instructions in flight, so
-/// states with a fuller buffer are closer to a leak than states that
-/// just retired everything.
-pub struct DeepestRob {
-    inner: Priority,
-}
-
-impl Default for DeepestRob {
-    fn default() -> Self {
-        DeepestRob {
-            inner: Priority::new(|state| state.rob.len() as u64),
-        }
-    }
-}
-
-impl SearchStrategy for DeepestRob {
-    fn name(&self) -> &'static str {
-        "deepest-rob"
-    }
-
-    fn push(&mut self, state: SymState) {
-        self.inner.push(state);
-    }
-
-    fn pop(&mut self) -> Option<SymState> {
-        self.inner.pop()
-    }
-
-    fn len(&self) -> usize {
-        self.inner.len()
-    }
-}
-
-/// Leak-proximity score for [`ViolationLikely`]: a violation is a
-/// secret-labeled observation, i.e. a load or store executing at a
-/// secret-tainted address while mis-speculation is in flight. States
-/// are weighted by the ingredients of that recipe —
-///
-/// * unresolved branches or indirect jumps in the buffer (weight 4):
-///   speculation past an undecided guard is what makes an access
-///   transient in the first place;
-/// * unresolved loads (weight 2): the instructions that will produce
-///   the next memory observations;
-/// * path-condition size (weight 1): constraints accumulate exactly
-///   when symbolic guards were crossed, a proxy for attacker influence.
-fn leak_proximity(state: &SymState) -> u64 {
-    let mut score = state.constraints.len() as u64;
-    for (_, t) in state.rob.iter() {
-        match t {
-            SymTransient::Br { .. } | SymTransient::Jmpi { .. } => score += 4,
-            SymTransient::Load { .. } | SymTransient::LoadGuessed { .. } => score += 2,
-            _ => {}
-        }
-    }
-    score
-}
-
-/// Highest [`leak_proximity`] score first: chase states that look one
-/// step from a secret observation.
-pub struct ViolationLikely {
-    inner: Priority,
-}
-
-impl Default for ViolationLikely {
-    fn default() -> Self {
-        ViolationLikely {
-            inner: Priority::new(leak_proximity),
-        }
-    }
-}
-
-impl SearchStrategy for ViolationLikely {
-    fn name(&self) -> &'static str {
-        "violation-likely"
-    }
-
-    fn push(&mut self, state: SymState) {
-        self.inner.push(state);
-    }
-
-    fn pop(&mut self) -> Option<SymState> {
-        self.inner.pop()
-    }
-
-    fn len(&self) -> usize {
-        self.inner.len()
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -365,20 +188,6 @@ mod tests {
             }
             assert_eq!(f.len(), 3);
             assert_eq!(f.pop().unwrap().pc, want, "{}", kind.name());
-        }
-    }
-
-    #[test]
-    fn priority_ties_break_lifo() {
-        // Equal scores everywhere (empty ROB, no constraints): both
-        // priority strategies degrade to deterministic LIFO.
-        for kind in [StrategyKind::DeepestRob, StrategyKind::ViolationLikely] {
-            let mut f = kind.frontier();
-            for st in states(3) {
-                f.push(st);
-            }
-            assert_eq!(f.pop().unwrap().pc, 2, "{}", kind.name());
-            assert_eq!(f.pop().unwrap().pc, 1, "{}", kind.name());
         }
     }
 

@@ -2,19 +2,18 @@
 //! no concurrently running test interns nodes during the measurement:
 //! a repeated batch is served entirely by the warm arena.
 
-
-// Legacy-API coverage: this file deliberately exercises the deprecated
-// `Detector`/`BatchAnalyzer` wrappers to pin their delegation behaviour.
-#![allow(deprecated)]
-
-use pitchfork::{BatchAnalyzer, BatchItem, DetectorOptions};
+use pitchfork::{AnalysisSession, BatchItem, DetectorOptions};
 use sct_core::examples::fig1;
 
 #[test]
 fn repeated_batch_interns_nothing_new() {
     let (p, cfg) = fig1();
     let run = |mode: DetectorOptions| {
-        BatchAnalyzer::new(mode).analyze_all(vec![BatchItem::new("fig1", p.clone(), cfg.clone())])
+        AnalysisSession::with_options(mode).run_batch(vec![BatchItem::new(
+            "fig1",
+            p.clone(),
+            cfg.clone(),
+        )])
     };
     let first = run(DetectorOptions::v1_mode(12));
     assert!(first.fresh_nodes() > 0, "cold run must populate the arena");

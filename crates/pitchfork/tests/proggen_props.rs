@@ -6,14 +6,9 @@
 //! concretized addresses, forwarded values), rather than synthetic
 //! trees.
 
-
-// Legacy-API coverage: this file deliberately exercises the deprecated
-// `Detector`/`BatchAnalyzer` wrappers to pin their delegation behaviour.
-#![allow(deprecated)]
-
 use pitchfork::machine::SymMachine;
 use pitchfork::state::SymState;
-use pitchfork::{Detector, DetectorOptions};
+use pitchfork::{AnalysisSession, DetectorOptions};
 use proptest::prelude::*;
 use rand::rngs::SmallRng;
 use rand::{Rng, SeedableRng};
@@ -155,8 +150,8 @@ proptest! {
                 o.explorer.max_states = 20_000;
                 o
             };
-            let on = Detector::new(mk(true)).analyze(&program, &config);
-            let off = Detector::new(mk(false)).analyze(&program, &config);
+            let on = AnalysisSession::with_options(mk(true)).analyze(&program, &config);
+            let off = AnalysisSession::with_options(mk(false)).analyze(&program, &config);
             // A truncated run's verdict is budget-dependent; only
             // compare complete explorations.
             if !on.stats.truncated && !off.stats.truncated {

@@ -262,6 +262,29 @@ fn garbage_lines_get_error_responses_and_the_connection_survives() {
 }
 
 #[test]
+fn retire_starts_a_new_epoch() {
+    let _guard = lock();
+    let (p, cfg) = fig1();
+    let dir = std::env::temp_dir();
+    let path = dir.join(format!("sct_session_retire_{}.cache", std::process::id()));
+    let _ = std::fs::remove_file(&path);
+    let mut session = AnalysisSession::builder()
+        .v1_mode(16)
+        .cache(&path)
+        .build()
+        .unwrap();
+    assert!(session.cache_load().is_none(), "no snapshot yet");
+    let before = session.analyze(&p, &cfg);
+    let reloaded = session.retire().unwrap().expect("snapshot written");
+    assert!(reloaded.added > 0, "warm start hydrates nodes");
+    assert_eq!(session.epochs_retired(), 1);
+    let after = session.analyze(&p, &cfg);
+    assert_eq!(before.verdict(), after.verdict());
+    assert_eq!(before.stats.states, after.stats.states);
+    let _ = std::fs::remove_file(&path);
+}
+
+#[test]
 fn retire_policy_cycles_epochs_under_service() {
     let _guard = lock();
     let cache = temp_path("policy", "cache");

@@ -1,4 +1,4 @@
-//! The ISSUE 2 acceptance run: a second `BatchAnalyzer` pass over the
+//! The warm-start acceptance run: a second batch pass over the
 //! litmus corpus + Table 2 with a cache file must hydrate ≥80% of its
 //! interned nodes and ≥50% of its `Solver::check` calls from the
 //! persisted snapshot, and an epoch reset followed by re-analysis must

@@ -1,15 +1,10 @@
 //! End-to-end integration: assembly text in, verdicts out — the same
 //! flow the `pitchfork` CLI drives, through the library APIs.
 
-
-// Legacy-API coverage: this file deliberately exercises the deprecated
-// `Detector`/`BatchAnalyzer` wrappers to pin their delegation behaviour.
-#![allow(deprecated)]
-
 use spectre_ct::asm::{assemble, disassemble_with};
 use spectre_ct::core::sched::sequential::run_sequential;
 use spectre_ct::core::Params;
-use spectre_ct::pitchfork::{Detector, DetectorOptions};
+use spectre_ct::pitchfork::{AnalysisSession, DetectorOptions};
 
 const VULNERABLE: &str = r"
 .entry start
@@ -42,7 +37,7 @@ out:
 
 #[test]
 fn assembled_gadget_is_flagged_and_fence_fixes_it() {
-    let detector = Detector::new(DetectorOptions::v1_mode(20));
+    let mut detector = AnalysisSession::with_options(DetectorOptions::v1_mode(20));
 
     let vulnerable = assemble(VULNERABLE).unwrap();
     let report = detector.analyze(&vulnerable.program, &vulnerable.config);
@@ -75,7 +70,7 @@ fn disassembly_round_trips_through_the_detector() {
     let again = assemble(&text).unwrap();
     assert_eq!(asm.program, again.program);
     assert_eq!(asm.config, again.config);
-    let detector = Detector::new(DetectorOptions::v1_mode(20));
+    let mut detector = AnalysisSession::with_options(DetectorOptions::v1_mode(20));
     assert!(detector.analyze(&again.program, &again.config).has_violations());
 }
 
@@ -86,7 +81,7 @@ fn symbolic_analysis_covers_all_public_inputs() {
     // some attacker-chosen index; symbolizing `ra` finds it.
     let mut asm = assemble(VULNERABLE).unwrap();
     asm.config.regs.write(RA, spectre_ct::core::Val::public(1));
-    let detector = Detector::new(DetectorOptions::v1_mode(20));
+    let mut detector = AnalysisSession::with_options(DetectorOptions::v1_mode(20));
     let report = detector.analyze_symbolic(&asm.program, &asm.config, &[RA]);
     assert!(report.has_violations());
     // The report carries the path constraints that pin the leak.

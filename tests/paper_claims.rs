@@ -1,13 +1,8 @@
 //! Cross-crate validation of the paper's central claims.
 
-
-// Legacy-API coverage: this file deliberately exercises the deprecated
-// `Detector`/`BatchAnalyzer` wrappers to pin their delegation behaviour.
-#![allow(deprecated)]
-
 use spectre_ct::core::{Machine, Params, Schedule};
 use spectre_ct::litmus;
-use spectre_ct::pitchfork::{Detector, DetectorOptions};
+use spectre_ct::pitchfork::{AnalysisSession, DetectorOptions};
 
 /// Theorem B.20 flavour, end to end: every violation schedule the
 /// symbolic explorer reports is a *well-formed* schedule of the
@@ -22,7 +17,8 @@ fn violation_schedules_replay_on_the_reference_machine() {
             } else {
                 DetectorOptions::v1_mode(case.bound)
             };
-            let report = Detector::new(options).analyze(&case.program, &case.config);
+            let report =
+                AnalysisSession::with_options(options).analyze(&case.program, &case.config);
             for v in report.violations.iter().take(3) {
                 let mut m = Machine::with_params(
                     &case.program,
@@ -59,7 +55,7 @@ fn violations_are_relational_counterexamples() {
         if !case.expect.v1_violation {
             continue;
         }
-        let report = Detector::new(DetectorOptions::v1_mode(case.bound))
+        let report = AnalysisSession::with_options(DetectorOptions::v1_mode(case.bound))
             .analyze(&case.program, &case.config);
         let v = report
             .violations
@@ -165,7 +161,7 @@ fn corpus_detection_summary() {
 #[test]
 fn detection_is_deterministic() {
     let case = litmus::kocher::kocher_01();
-    let d = Detector::new(DetectorOptions::v1_mode(case.bound));
+    let mut d = AnalysisSession::with_options(DetectorOptions::v1_mode(case.bound));
     let a = d.analyze(&case.program, &case.config);
     let b = d.analyze(&case.program, &case.config);
     assert_eq!(a.violations.len(), b.violations.len());
