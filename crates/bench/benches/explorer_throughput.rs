@@ -5,7 +5,9 @@
 //! Besides the criterion timings (`BENCH_explorer_throughput.json`),
 //! this bench writes `BENCH_explorer_dedup.json` recording the state
 //! counts both ways, quantifying exactly how much the fingerprint
-//! visited-set prunes, and `BENCH_telemetry_overhead.json` — an A/B of
+//! visited-set prunes, plus an interleaved on/off timing of the corpus
+//! passes that says whether pruning pays for its fingerprints, and
+//! `BENCH_telemetry_overhead.json` — an A/B of
 //! the same serial corpus pass with the `sct-telemetry` registry
 //! disabled and enabled, gating the instrumentation's overhead (the
 //! CI metrics-smoke job asserts it stays under 3%).
@@ -103,10 +105,78 @@ fn bench_explorer_throughput(c: &mut Criterion) {
     write_telemetry_overhead();
 }
 
+/// Interleaved on/off pairs per corpus workload in the dedup timing.
+const DEDUP_PAIRS: usize = 60;
+/// The bound of the dedup timing (the paper's v4 bound).
+const DEDUP_TIMING_BOUND: usize = 20;
+
+/// Median pass times in ms with dedup on and off over [`DEDUP_PAIRS`]
+/// interleaved pairs, and how many pairs dedup-on won. Each pair
+/// alternates which arm runs first, so neither arm always runs warm.
+fn time_dedup_pairs(items: &[pitchfork::BatchItem], v4: bool) -> (f64, f64, usize) {
+    let time = |dedup: bool| {
+        let start = std::time::Instant::now();
+        black_box(corpus_pass(items, DEDUP_TIMING_BOUND, v4, dedup).totals.states);
+        start.elapsed().as_secs_f64() * 1e3
+    };
+    // One warm-up pass per arm.
+    time(true);
+    time(false);
+    let (mut on, mut off) = (Vec::new(), Vec::new());
+    for k in 0..DEDUP_PAIRS {
+        if k % 2 == 0 {
+            on.push(time(true));
+            off.push(time(false));
+        } else {
+            off.push(time(false));
+            on.push(time(true));
+        }
+    }
+    let wins = on.iter().zip(&off).filter(|(a, b)| a < b).count();
+    (median(&mut on), median(&mut off), wins)
+}
+
+fn median(xs: &mut [f64]) -> f64 {
+    xs.sort_by(f64::total_cmp);
+    let n = xs.len();
+    if n % 2 == 1 {
+        xs[n / 2]
+    } else {
+        (xs[n / 2 - 1] + xs[n / 2]) / 2.0
+    }
+}
+
 /// One representative run per configuration, recording explored-state
-/// counts with dedup on/off (the numbers the timings are explained by).
+/// counts with dedup on/off (the numbers the timings are explained by),
+/// the interleaved on/off timing of the corpus passes at the v4 bound,
+/// and the run's provenance manifest.
 fn write_dedup_counts() {
-    let mut json = String::from("{\n  \"workloads\": [\n");
+    let manifest = sct_bench::manifest::RunManifest::capture(
+        &format!(
+            "explorer_dedup bounds={BOUNDS:?} timing_bound={DEDUP_TIMING_BOUND} pairs={DEDUP_PAIRS}"
+        ),
+        0,
+        &[1],
+    );
+    let mut json = String::from("{\n");
+    json.push_str(&manifest.json_fields("  "));
+    json.push_str("  \"timing\": [\n");
+    let timing_items = corpus_items(DEDUP_TIMING_BOUND);
+    for (k, v4) in [false, true].into_iter().enumerate() {
+        let name = if v4 { "corpus_v4" } else { "corpus_v1" };
+        let (on_ms, off_ms, wins) = time_dedup_pairs(&timing_items, v4);
+        let sep = if k == 0 { "" } else { ",\n" };
+        let _ = write!(
+            json,
+            "{sep}    {{\"workload\": \"{name}\", \"bound\": {DEDUP_TIMING_BOUND}, \
+             \"pairs\": {DEDUP_PAIRS}, \"median_ms_dedup\": {on_ms:.4}, \
+             \"median_ms_nodedup\": {off_ms:.4}, \"dedup_faster_pairs\": {wins}}}"
+        );
+        println!(
+            "dedup timing {name}: on {on_ms:.3} ms vs off {off_ms:.3} ms, on faster in {wins}/{DEDUP_PAIRS} pairs"
+        );
+    }
+    json.push_str("\n  ],\n  \"workloads\": [\n");
     let mut first = true;
     let mut emit = |name: &str, bound: usize, on: (usize, usize, bool), off: (usize, bool)| {
         let sep = if first { "" } else { ",\n" };
@@ -146,12 +216,14 @@ fn write_dedup_counts() {
         }
     }
     json.push_str("\n  ]\n}\n");
-    let path = criterion::Criterion::output_dir().join("BENCH_explorer_dedup.json");
+    let dir = criterion::Criterion::output_dir();
+    let path = dir.join("BENCH_explorer_dedup.json");
     if let Err(e) = std::fs::write(&path, json) {
         eprintln!("could not write {}: {e}", path.display());
     } else {
         println!("wrote {}", path.display());
     }
+    let _ = manifest.append_audit(&dir, "BENCH_explorer_dedup.json");
 }
 
 /// A/B overhead gate for the telemetry instrumentation: the same

@@ -49,6 +49,7 @@
 #![warn(rust_2018_idioms)]
 
 pub mod config;
+pub mod digest;
 pub mod directive;
 pub mod error;
 pub mod examples;

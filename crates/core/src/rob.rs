@@ -7,19 +7,34 @@
 //! by absolute index while preserving the paper's indexing scheme
 //! (indices keep growing over the life of an execution and are never
 //! reused, which is what makes load provenance `{j, a}` unambiguous).
+//!
+//! The buffer also maintains a 128-bit [`Rob::digest`]: the XOR of
+//! [`sip128`]`(&(i, buf(i)))` over its domain (see [`crate::digest`]).
+//! Every mutator updates it: `push` and `set` hash the one entry they
+//! write, and each entry keeps its hash beside it, so `set`, `pop_min`,
+//! `pop_min_n` and `truncate_from` XOR the removed entries out without
+//! rehashing them. The symbolic explorer fingerprints a buffer by its
+//! digest plus [`Rob::next_index`], which together determine the buffer
+//! (the digest covers the absolute indices, so also a non-empty
+//! buffer's base).
 
+use crate::digest::sip128;
 use crate::transient::Transient;
 use std::collections::VecDeque;
 use std::fmt;
+use std::hash::Hash;
 
 /// The reorder buffer, generic in its entry type so that the symbolic
 /// machine of the `pitchfork` crate can reuse it with symbolic transient
 /// instructions. Bare `Rob` is the concrete buffer of the reference
 /// semantics.
-#[derive(Clone, PartialEq, Eq, Hash, Debug)]
+#[derive(Clone, PartialEq, Eq, Debug)]
 pub struct Rob<T = Transient> {
     base: usize,
-    entries: VecDeque<T>,
+    /// Each entry with its element hash `sip128(&(index, entry))`.
+    entries: VecDeque<(T, u128)>,
+    /// XOR of the entries' element hashes.
+    digest: u128,
 }
 
 impl<T> Default for Rob<T> {
@@ -33,10 +48,7 @@ impl<T> Rob<T> {
     /// fetched instruction lands at index `MAX + 1 = 1`, matching every
     /// figure.
     pub fn new() -> Self {
-        Rob {
-            base: 1,
-            entries: VecDeque::new(),
-        }
+        Rob::starting_at(1)
     }
 
     /// An empty buffer whose next fetch lands at `next`. Used to
@@ -45,6 +57,7 @@ impl<T> Rob<T> {
         Rob {
             base: next,
             entries: VecDeque::new(),
+            digest: 0,
         }
     }
 
@@ -83,40 +96,26 @@ impl<T> Rob<T> {
         self.entries.is_empty()
     }
 
+    /// The maintained digest: the XOR of `sip128(&(i, buf(i)))` over the
+    /// domain (0 for an empty buffer).
+    pub fn digest(&self) -> u128 {
+        self.digest
+    }
+
     /// `buf(i)`.
     pub fn get(&self, i: usize) -> Option<&T> {
-        i.checked_sub(self.base).and_then(|k| self.entries.get(k))
-    }
-
-    /// Replace `buf(i)` with a new transient instruction
-    /// (`buf[i ↦ instr]` over an existing index).
-    ///
-    /// # Panics
-    ///
-    /// Panics if `i` is not in the buffer's domain; the step rules only
-    /// rewrite existing entries.
-    pub fn set(&mut self, i: usize, instr: T) {
-        let k = i
-            .checked_sub(self.base)
-            .filter(|&k| k < self.entries.len())
-            .unwrap_or_else(|| panic!("rob index {i} out of domain"));
-        self.entries[k] = instr;
-    }
-
-    /// Append at `MAX(buf) + 1`, returning the new index.
-    pub fn push(&mut self, instr: T) -> usize {
-        self.entries.push_back(instr);
-        self.base + self.entries.len() - 1
+        i.checked_sub(self.base)
+            .and_then(|k| self.entries.get(k))
+            .map(|(t, _)| t)
     }
 
     /// Remove `MIN(buf)` (`buf \ buf(i)` in the retire rules), returning
     /// the retired instruction.
     pub fn pop_min(&mut self) -> Option<T> {
-        let head = self.entries.pop_front();
-        if head.is_some() {
-            self.base += 1;
-        }
-        head
+        let (head, h) = self.entries.pop_front()?;
+        self.digest ^= h;
+        self.base += 1;
+        Some(head)
     }
 
     /// Remove the `count` oldest entries at once (`buf[j : j > i + k]` in
@@ -135,6 +134,7 @@ impl<T> Rob<T> {
         if cut <= self.base {
             let n = self.entries.len();
             self.entries.clear();
+            self.digest = 0;
             // Keep `next_index` at the cut so indices stay monotone.
             self.base = self.base.max(cut);
             return n;
@@ -144,6 +144,9 @@ impl<T> Rob<T> {
             return 0;
         }
         let dropped = self.entries.len() - keep;
+        for (_, h) in self.entries.range(keep..) {
+            self.digest ^= h;
+        }
         self.entries.truncate(keep);
         dropped
     }
@@ -153,7 +156,7 @@ impl<T> Rob<T> {
         self.entries
             .iter()
             .enumerate()
-            .map(move |(k, t)| (self.base + k, t))
+            .map(move |(k, (t, _))| (self.base + k, t))
     }
 
     /// Iterate entries strictly below index `i`, in index order.
@@ -165,7 +168,42 @@ impl<T> Rob<T> {
     pub fn iter_above(&self, i: usize) -> impl Iterator<Item = (usize, &T)> + '_ {
         self.iter().skip_while(move |&(j, _)| j <= i)
     }
+}
 
+impl<T: Hash> Rob<T> {
+    /// Replace `buf(i)` with a new transient instruction
+    /// (`buf[i ↦ instr]` over an existing index).
+    ///
+    /// # Panics
+    ///
+    /// Panics if `i` is not in the buffer's domain; the step rules only
+    /// rewrite existing entries.
+    pub fn set(&mut self, i: usize, instr: T) {
+        let k = i
+            .checked_sub(self.base)
+            .filter(|&k| k < self.entries.len())
+            .unwrap_or_else(|| panic!("rob index {i} out of domain"));
+        let h = sip128(&(i, &instr));
+        let slot = &mut self.entries[k];
+        self.digest ^= slot.1 ^ h;
+        *slot = (instr, h);
+    }
+
+    /// Append at `MAX(buf) + 1`, returning the new index.
+    pub fn push(&mut self, instr: T) -> usize {
+        let i = self.next_index();
+        let h = sip128(&(i, &instr));
+        self.digest ^= h;
+        self.entries.push_back((instr, h));
+        i
+    }
+
+    /// The digest recomputed from scratch, the reference that
+    /// [`Rob::digest`] must always equal.
+    #[cfg(any(test, debug_assertions))]
+    pub fn recompute_digest(&self) -> u128 {
+        self.iter().fold(0, |d, (i, t)| d ^ sip128(&(i, t)))
+    }
 }
 
 impl Rob<Transient> {
@@ -299,5 +337,49 @@ mod tests {
     fn starting_at_reconstructs_figure_states() {
         let mut rob = Rob::starting_at(2);
         assert_eq!(rob.push(val(0)), 2);
+    }
+
+    #[test]
+    fn every_mutator_keeps_the_digest_exact() {
+        let mut rob = Rob::new();
+        let check = |rob: &Rob| assert_eq!(rob.digest(), rob.recompute_digest());
+        for i in 0..6 {
+            rob.push(val(i));
+            check(&rob);
+        }
+        rob.set(3, Transient::Fence);
+        check(&rob);
+        rob.pop_min();
+        check(&rob);
+        rob.pop_min_n(2);
+        check(&rob);
+        assert_eq!(rob.truncate_from(5), 2);
+        check(&rob);
+        // `cut <= base` empties the buffer: the digest of no entries.
+        assert_eq!(rob.truncate_from(1), 1);
+        check(&rob);
+        assert_eq!(rob.digest(), 0);
+    }
+
+    #[test]
+    fn set_then_restore_returns_the_original_digest() {
+        let mut rob = Rob::new();
+        rob.push(val(1));
+        rob.push(val(2));
+        let before = rob.digest();
+        rob.set(2, val(7));
+        assert_ne!(rob.digest(), before);
+        rob.set(2, val(2));
+        assert_eq!(rob.digest(), before);
+    }
+
+    #[test]
+    fn digest_depends_on_absolute_indices() {
+        // Same entries, different base: different (index, entry) pairs.
+        let mut a = Rob::new();
+        let mut b = Rob::starting_at(2);
+        a.push(val(5));
+        b.push(val(5));
+        assert_ne!(a.digest(), b.digest());
     }
 }

@@ -10,7 +10,7 @@ use crate::instr::Operand;
 /// The provenance annotation `{j, a}` on a resolved load
 /// `(r = vℓ{j,a})_n`: where the value came from and which address it is
 /// bound to.
-#[derive(Clone, Copy, PartialEq, Eq, Debug)]
+#[derive(Clone, Copy, PartialEq, Eq, Hash, Debug)]
 pub struct LoadProvenance {
     /// `j`: the reorder-buffer index of the store the value was forwarded
     /// from, or `None` (`⊥`) when it was read from memory. The paper
@@ -38,7 +38,7 @@ impl LoadProvenance {
 }
 
 /// Resolution state of a store's data operand.
-#[derive(Clone, PartialEq, Eq, Debug)]
+#[derive(Clone, PartialEq, Eq, Hash, Debug)]
 pub enum StoreData {
     /// `rv` not yet resolved.
     Pending(Operand),
@@ -57,7 +57,7 @@ impl StoreData {
 }
 
 /// Resolution state of a store's address operands.
-#[derive(Clone, PartialEq, Eq, Debug)]
+#[derive(Clone, PartialEq, Eq, Hash, Debug)]
 pub enum StoreAddr {
     /// `r⃗v` not yet resolved to an address.
     Pending(Vec<Operand>),
@@ -76,7 +76,7 @@ impl StoreAddr {
 }
 
 /// A transient instruction in the reorder buffer (Table 1, right column).
-#[derive(Clone, PartialEq, Eq, Debug)]
+#[derive(Clone, PartialEq, Eq, Hash, Debug)]
 pub enum Transient {
     /// `(r = op(op, r⃗v))` — unresolved arithmetic operation.
     Op {

@@ -1,8 +1,10 @@
 //! Model-based property test for the reorder buffer: the `Rob` must
 //! behave exactly like a naive map-with-contiguous-domain model under
-//! arbitrary operation sequences.
+//! arbitrary operation sequences, and its maintained digest must equal
+//! the digest recomputed from the model after every operation.
 
 use proptest::prelude::*;
+use sct_core::digest::sip128;
 use sct_core::rob::Rob;
 use sct_core::transient::Transient;
 use sct_core::{Pc, Val};
@@ -12,6 +14,7 @@ use std::collections::BTreeMap;
 enum Op {
     Push(u64),
     PopMin,
+    PopMinN(usize),
     TruncateFrom(usize),
     Set(usize, u64),
 }
@@ -20,6 +23,7 @@ fn op_strategy() -> impl Strategy<Value = Op> {
     prop_oneof![
         (0u64..100).prop_map(Op::Push),
         Just(Op::PopMin),
+        (0usize..4).prop_map(Op::PopMinN),
         (0usize..40).prop_map(Op::TruncateFrom),
         ((0usize..40), (0u64..100)).prop_map(|(i, v)| Op::Set(i, v)),
     ]
@@ -74,6 +78,14 @@ proptest! {
                     });
                     prop_assert_eq!(got, want);
                 }
+                Op::PopMinN(n) => {
+                    rob.pop_min_n(n);
+                    for _ in 0..n {
+                        if let Some(&k) = model.map.keys().next() {
+                            model.map.remove(&k);
+                        }
+                    }
+                }
                 Op::TruncateFrom(cut) => {
                     rob.truncate_from(cut);
                     model.map.retain(|&k, _| k < cut);
@@ -115,6 +127,13 @@ proptest! {
             if let (Some(lo), Some(hi)) = (rob.min(), rob.max()) {
                 prop_assert_eq!(hi - lo + 1, rob.len());
             }
+            // The maintained digest is the model's from-scratch digest,
+            // including after a `cut <= base` truncation empties it.
+            let digest = model
+                .map
+                .iter()
+                .fold(0, |d, (&k, &v)| d ^ sip128(&(k, &entry(v))));
+            prop_assert_eq!(rob.digest(), digest);
         }
         let _ = Val::public(0); // keep the import used on empty op lists
     }

@@ -440,7 +440,8 @@ impl<'p> Explorer<'p> {
     /// Apply a continuation, checking each step's new observations for
     /// secret labels. Generic over the event sink so the serial and
     /// parallel engines share one implementation of the step/violation
-    /// plumbing.
+    /// plumbing. The first directive steps from the borrowed `state`, so
+    /// only the machine's successors are ever cloned.
     pub(crate) fn apply<S: EventSink>(
         &self,
         state: &SymState,
@@ -448,13 +449,18 @@ impl<'p> Explorer<'p> {
         report: &mut Report,
         sink: &mut S,
     ) -> Vec<SymState> {
-        let mut frontier = vec![state.clone()];
+        let mut frontier = Vec::new();
         let directives = cont.directives();
         for (k, &d) in directives.iter().enumerate() {
             let last = k + 1 == directives.len();
+            let sources = if k == 0 {
+                std::slice::from_ref(state)
+            } else {
+                &frontier[..]
+            };
             let mut next = Vec::new();
-            for st in frontier {
-                let succs = match self.machine.step(&st, d) {
+            for st in sources {
+                let succs = match self.machine.step(st, d) {
                     Ok(s) => s,
                     // A continuation that turns out inapplicable (e.g. a
                     // forwarding variant whose store/load interaction is
@@ -463,10 +469,10 @@ impl<'p> Explorer<'p> {
                 };
                 for succ in succs {
                     report.stats.steps += 1;
-                    let new_from = st.trace.len();
+                    debug_assert_eq!(succ.depth(), st.depth() + 1, "one recorded step");
+                    let fresh = succ.step_observations();
                     if last {
-                        let rolled_back =
-                            succ.trace[new_from..].contains(&Observation::Rollback);
+                        let rolled_back = fresh.contains(&Observation::Rollback);
                         match cont {
                             Cont::SeqNoRollback(_) if rolled_back => continue,
                             Cont::SeqRollbackOnly(_) if !rolled_back => continue,
@@ -474,13 +480,15 @@ impl<'p> Explorer<'p> {
                         }
                     }
                     // Scan only this step's fresh observations for leaks.
-                    if let Some(p) = succ.trace[new_from..].iter().position(|o| o.is_secret())
-                    {
-                        let pos = new_from + p;
+                    if let Some(p) = fresh.iter().position(|o| o.is_secret()) {
+                        let observation = fresh[p];
+                        let unflagged = fresh.len() - p - 1;
+                        let mut trace = succ.trace();
+                        trace.truncate(trace.len() - unflagged);
                         let violation = Violation {
-                            observation: succ.trace[pos],
-                            schedule: succ.schedule.clone(),
-                            trace: succ.trace[..=pos].to_vec(),
+                            observation,
+                            schedule: succ.schedule(),
+                            trace,
                             pc: succ.pc,
                             constraints: succ
                                 .constraints

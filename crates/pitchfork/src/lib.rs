@@ -398,7 +398,15 @@
 //!   strategy) and a visited set keyed by [`SymState::fingerprint`];
 //!   schedules that reconverge on an already-expanded state are pruned,
 //!   which is what keeps deep speculation bounds (250 for v1, 20 for
-//!   v4) tractable;
+//!   v4) tractable. An expansion pays for what its step changed, not
+//!   for the size of the state: the reorder buffer, registers and
+//!   memory each maintain a Zobrist digest in their own mutators, so a
+//!   fingerprint hashes three digests plus the program point, RSB and
+//!   path condition; a state's schedule and trace are one parent-linked
+//!   list shared with every state on the same prefix, built into flat
+//!   vectors only for a [`Violation`] or a caller that asks
+//!   ([`SymState::schedule`], [`SymState::trace`]); and memory is shared
+//!   copy-on-write, copied only when a retiring store changes a cell;
 //! * [`repair`](crate::repair) inserts fences until the detector is
 //!   satisfied.
 

@@ -959,7 +959,7 @@ mod tests {
             assert_eq!(succs.len(), 1, "concrete run must not fork at {d}");
             cur = succs.into_iter().next().unwrap();
         }
-        assert!(cur.trace.iter().any(|o| o.is_secret()));
+        assert!(cur.trace().iter().any(|o| o.is_secret()));
     }
 
     #[test]
@@ -977,7 +977,7 @@ mod tests {
         // One successor resolved correctly (guess true), one rolled back.
         let rollbacks = succs
             .iter()
-            .filter(|s| s.trace.contains(&Observation::Rollback))
+            .filter(|s| s.trace().contains(&Observation::Rollback))
             .count();
         assert_eq!(rollbacks, 1);
         // Each successor carries a path constraint on ra.
@@ -1001,7 +1001,7 @@ mod tests {
         // The load's address 0x40 + ra was symbolic: a constraint pins it.
         assert!(!st.constraints.is_empty());
         assert!(matches!(
-            st.trace.last(),
+            st.trace().last(),
             Some(Observation::Read { .. })
         ));
     }

@@ -46,9 +46,10 @@ proptest! {
                 "concrete-input symbolic step must not fork (directive {})",
                 d
             );
-            let prev_len = sym.trace.len();
+            let prev_len = sym.trace().len();
             sym = succs.into_iter().next().unwrap();
-            let sym_obs = &sym.trace[prev_len..];
+            let trace = sym.trace();
+            let sym_obs = &trace[prev_len..];
             prop_assert_eq!(
                 sym_obs, &conc_obs[..],
                 "observation mismatch at step {} on {}", step, d

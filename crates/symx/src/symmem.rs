@@ -4,10 +4,20 @@
 //! Pitchfork's machine concretizes addresses before touching memory
 //! (as angr does, §4.2 of the paper), so the memory is keyed by concrete
 //! addresses while *contents* stay symbolic.
+//!
+//! [`SymRegFile`] and [`SymMemory`] each maintain a 128-bit digest of
+//! their explicitly-set cells: the XOR of [`sip128`]`(&(key, value))`
+//! over the map (Zobrist hashing, see [`sct_core::digest`]). `write`,
+//! the only mutator, XORs the overwritten cell's hash out and the new
+//! one in, so the explorer fingerprints a state without walking its
+//! registers or memory. The memory map is also shared copy-on-write: a
+//! clone shares it, and only a store that changes a cell copies it.
 
 use crate::expr::{Expr, Model, VarId, VarPool};
+use sct_core::digest::sip128;
 use sct_core::{Label, Lattice, Reg, Val};
 use std::collections::BTreeMap;
+use std::sync::Arc;
 
 /// A labeled symbolic value — the symbolic analogue of [`sct_core::Val`].
 ///
@@ -72,9 +82,11 @@ impl std::fmt::Display for SymVal {
 }
 
 /// Symbolic register file (`ρ` with symbolic values).
-#[derive(Clone, PartialEq, Eq, Hash, Debug, Default)]
+#[derive(Clone, PartialEq, Eq, Debug, Default)]
 pub struct SymRegFile {
     map: BTreeMap<Reg, SymVal>,
+    /// XOR of `sip128(&(r, v))` over `map`.
+    digest: u128,
 }
 
 impl SymRegFile {
@@ -90,7 +102,23 @@ impl SymRegFile {
 
     /// Write a register.
     pub fn write(&mut self, r: Reg, v: SymVal) {
-        self.map.insert(r, v);
+        match self.map.insert(r, v) {
+            Some(old) if old == v => {}
+            Some(old) => self.digest ^= sip128(&(r, old)) ^ sip128(&(r, v)),
+            None => self.digest ^= sip128(&(r, v)),
+        }
+    }
+
+    /// The maintained digest of the explicitly-set registers.
+    pub fn digest(&self) -> u128 {
+        self.digest
+    }
+
+    /// [`SymRegFile::digest`] recomputed from scratch, the reference
+    /// the maintained digest must always equal.
+    #[cfg(any(test, debug_assertions))]
+    pub fn recompute_digest(&self) -> u128 {
+        self.map.iter().fold(0, |d, (r, v)| d ^ sip128(&(r, v)))
     }
 
     /// Iterate over explicitly-set registers.
@@ -100,12 +128,11 @@ impl SymRegFile {
 
     /// Lift a concrete register file.
     pub fn from_concrete(regs: &sct_core::RegFile) -> Self {
-        SymRegFile {
-            map: regs
-                .iter()
-                .map(|(r, v)| (r, SymVal::from_val(v)))
-                .collect(),
+        let mut out = SymRegFile::new();
+        for (r, v) in regs.iter() {
+            out.write(r, SymVal::from_val(v));
         }
+        out
     }
 
     /// Concretize under a model.
@@ -115,9 +142,14 @@ impl SymRegFile {
 }
 
 /// Symbolic memory: concrete addresses, symbolic labeled contents.
-#[derive(Clone, PartialEq, Eq, Hash, Debug, Default)]
+///
+/// The map is shared copy-on-write between clones; a write that leaves a
+/// cell unchanged copies nothing.
+#[derive(Clone, PartialEq, Eq, Debug, Default)]
 pub struct SymMemory {
-    map: BTreeMap<u64, SymVal>,
+    map: Arc<BTreeMap<u64, SymVal>>,
+    /// XOR of `sip128(&(addr, v))` over `map`.
+    digest: u128,
 }
 
 impl SymMemory {
@@ -136,7 +168,24 @@ impl SymMemory {
 
     /// Write an address.
     pub fn write(&mut self, addr: u64, v: SymVal) {
-        self.map.insert(addr, v);
+        match self.map.get(&addr) {
+            Some(&old) if old == v => return,
+            Some(&old) => self.digest ^= sip128(&(addr, old)) ^ sip128(&(addr, v)),
+            None => self.digest ^= sip128(&(addr, v)),
+        }
+        Arc::make_mut(&mut self.map).insert(addr, v);
+    }
+
+    /// The maintained digest of the explicitly-written cells.
+    pub fn digest(&self) -> u128 {
+        self.digest
+    }
+
+    /// [`SymMemory::digest`] recomputed from scratch, the reference the
+    /// maintained digest must always equal.
+    #[cfg(any(test, debug_assertions))]
+    pub fn recompute_digest(&self) -> u128 {
+        self.map.iter().fold(0, |d, (a, v)| d ^ sip128(&(a, v)))
     }
 
     /// Iterate over explicitly-written cells.
@@ -146,9 +195,11 @@ impl SymMemory {
 
     /// Lift a concrete memory.
     pub fn from_concrete(mem: &sct_core::Memory) -> Self {
-        SymMemory {
-            map: mem.iter().map(|(a, v)| (a, SymVal::from_val(v))).collect(),
+        let mut out = SymMemory::new();
+        for (a, v) in mem.iter() {
+            out.write(a, SymVal::from_val(v));
         }
+        out
     }
 
     /// Concretize under a model.
@@ -198,6 +249,52 @@ mod tests {
         assert_eq!(lifted.read(0x40).as_const(), Some(Val::secret(5)));
         assert_eq!(lifted.read(0x99).as_const(), Some(Val::public(0)));
         assert_eq!(lifted.eval(&Model::new()), mem);
+    }
+
+    #[test]
+    fn register_overwrite_and_restore_returns_the_digest() {
+        let mut rf = SymRegFile::new();
+        rf.write(RA, SymVal::public(1));
+        rf.write(RB, SymVal::secret(2));
+        let before = rf.digest();
+        rf.write(RA, SymVal::secret(1));
+        assert_ne!(rf.digest(), before);
+        assert_eq!(rf.digest(), rf.recompute_digest());
+        rf.write(RA, SymVal::public(1));
+        assert_eq!(rf.digest(), before);
+        assert_eq!(rf.digest(), rf.recompute_digest());
+    }
+
+    #[test]
+    fn memory_overwrite_and_restore_returns_the_digest() {
+        let mut mem = SymMemory::new();
+        mem.write(0x40, SymVal::secret(5));
+        mem.write(0x48, SymVal::public(6));
+        let before = mem.digest();
+        mem.write(0x40, SymVal::secret(9));
+        assert_ne!(mem.digest(), before);
+        assert_eq!(mem.digest(), mem.recompute_digest());
+        mem.write(0x40, SymVal::secret(5));
+        assert_eq!(mem.digest(), before);
+        assert_eq!(mem.digest(), mem.recompute_digest());
+        // An explicit cell differs from an unmapped one, even at zero.
+        let mut zeroed = mem.clone();
+        zeroed.write(0x50, SymVal::public(0));
+        assert_ne!(zeroed.digest(), mem.digest());
+    }
+
+    #[test]
+    fn memory_clones_share_until_written() {
+        let mut a = SymMemory::new();
+        a.write(0x40, SymVal::public(1));
+        let mut b = a.clone();
+        assert!(Arc::ptr_eq(&a.map, &b.map));
+        b.write(0x40, SymVal::public(1));
+        assert!(Arc::ptr_eq(&a.map, &b.map), "same value: no copy");
+        b.write(0x40, SymVal::public(2));
+        assert!(!Arc::ptr_eq(&a.map, &b.map));
+        assert_eq!(a.read(0x40).as_const(), Some(Val::public(1)));
+        assert_eq!(b.read(0x40).as_const(), Some(Val::public(2)));
     }
 
     #[test]
