@@ -2,17 +2,18 @@
 //! counts on fig1 and the whole litmus corpus at the paper's bounds
 //! {20, 50, 250}, with deduplication on and off.
 //!
-//! Besides the criterion timings (`BENCH_explorer_throughput.json`),
-//! this bench writes `BENCH_explorer_dedup.json` recording the state
-//! counts both ways, quantifying exactly how much the fingerprint
-//! visited-set prunes, plus an interleaved on/off timing of the corpus
-//! passes that says whether pruning pays for its fingerprints, and
-//! `BENCH_telemetry_overhead.json` — an A/B of
-//! the same serial corpus pass with the `sct-telemetry` registry
-//! disabled and enabled, gating the instrumentation's overhead (the
-//! CI metrics-smoke job asserts it stays under 3%).
+//! Writes two provenance-stamped records, in this order (each appends
+//! its line to `audit.jsonl`):
+//!
+//! * `BENCH_explorer_dedup.json` — the state counts both ways,
+//!   quantifying exactly how much the fingerprint visited-set prunes,
+//!   plus an interleaved on/off timing of the corpus passes that says
+//!   whether pruning pays for its fingerprints;
+//! * `BENCH_telemetry_overhead.json` — an A/B of the same serial corpus
+//!   pass with the `sct-telemetry` registry disabled and enabled,
+//!   gating the instrumentation's overhead (the CI metrics-smoke job
+//!   asserts it stays under 3%).
 
-use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion, Throughput};
 use pitchfork::{AnalysisSession, DetectorOptions, Report};
 use sct_core::examples::fig1;
 use sct_litmus::{all_cases, harness};
@@ -53,54 +54,8 @@ fn fig1_pass(bound: usize, v4: bool, dedup: bool) -> Report {
     AnalysisSession::with_options(options(bound, v4, dedup)).analyze(&p, &cfg)
 }
 
-fn bench_explorer_throughput(c: &mut Criterion) {
-    let mut group = c.benchmark_group("explorer_throughput");
-    group.sample_size(10);
-    group.measurement_time(std::time::Duration::from_secs(2));
-    group.warm_up_time(std::time::Duration::from_millis(300));
-
-    for bound in BOUNDS {
-        let items = corpus_items(bound);
-        group.throughput(Throughput::Elements(fig1_pass(bound, false, true).stats.states as u64));
-        group.bench_with_input(BenchmarkId::new("fig1_v1_dedup", bound), &bound, |b, &n| {
-            b.iter(|| black_box(fig1_pass(n, false, true).stats.states))
-        });
-
-        // Throughput is set per benchmark from that configuration's own
-        // state count (the group value applies to subsequent benches).
-        group.throughput(Throughput::Elements(
-            corpus_pass(&items, bound, false, true).totals.states as u64,
-        ));
-        group.bench_with_input(
-            BenchmarkId::new("corpus_v1_dedup", bound),
-            &bound,
-            |b, &n| b.iter(|| black_box(corpus_pass(&items, n, false, true).totals.states)),
-        );
-        group.throughput(Throughput::Elements(
-            corpus_pass(&items, bound, false, false).totals.states as u64,
-        ));
-        group.bench_with_input(
-            BenchmarkId::new("corpus_v1_nodedup", bound),
-            &bound,
-            |b, &n| b.iter(|| black_box(corpus_pass(&items, n, false, false).totals.states)),
-        );
-    }
-    // The v4 cliff, at the paper's v4 bound.
-    let items = corpus_items(20);
-    group.throughput(Throughput::Elements(
-        corpus_pass(&items, 20, true, true).totals.states as u64,
-    ));
-    group.bench_with_input(BenchmarkId::new("corpus_v4_dedup", 20), &20, |b, &n| {
-        b.iter(|| black_box(corpus_pass(&items, n, true, true).totals.states))
-    });
-    group.throughput(Throughput::Elements(
-        corpus_pass(&items, 20, true, false).totals.states as u64,
-    ));
-    group.bench_with_input(BenchmarkId::new("corpus_v4_nodedup", 20), &20, |b, &n| {
-        b.iter(|| black_box(corpus_pass(&items, n, true, false).totals.states))
-    });
-    group.finish();
-
+fn main() {
+    // `cargo bench` passes harness flags; a plain main ignores them.
     write_dedup_counts();
     write_telemetry_overhead();
 }
@@ -216,7 +171,7 @@ fn write_dedup_counts() {
         }
     }
     json.push_str("\n  ]\n}\n");
-    let dir = criterion::Criterion::output_dir();
+    let dir = sct_bench::manifest::output_dir();
     let path = dir.join("BENCH_explorer_dedup.json");
     if let Err(e) = std::fs::write(&path, json) {
         eprintln!("could not write {}: {e}", path.display());
@@ -283,7 +238,7 @@ fn write_telemetry_overhead() {
          \"state_expand\": {{\"count\": {exp_n}, \"p50_ns\": {exp_p50}, \"p99_ns\": {exp_p99}}}\n}}\n",
         overhead_pct < 3.0
     );
-    let dir = criterion::Criterion::output_dir();
+    let dir = sct_bench::manifest::output_dir();
     let path = dir.join("BENCH_telemetry_overhead.json");
     if let Err(e) = std::fs::write(&path, json) {
         eprintln!("could not write {}: {e}", path.display());
@@ -295,6 +250,3 @@ fn write_telemetry_overhead() {
         "telemetry overhead: {overhead_pct:.2}% (off {rate_off:.0} states/s, on {rate_on:.0} states/s)"
     );
 }
-
-criterion_group!(benches, bench_explorer_throughput);
-criterion_main!(benches);

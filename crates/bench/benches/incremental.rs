@@ -2,22 +2,21 @@
 //! litmus corpus versus a one-line-edit resubmit against the baseline
 //! the cold pass saved.
 //!
-//! Besides the criterion timings, this bench records the ISSUE 9
-//! acceptance numbers in `BENCH_incremental.json`: after editing a
-//! single corpus entry, the diff-aware resubmit must re-explore under
-//! 20% of the cold run's states (`reexplored_fraction`), and the
-//! fence-removal edit must surface as a detected regression. Phases
-//! are separated by [`sct_symx::retire_arena`], exactly like separate
-//! CLI invocations of `pitchfork ci-gate`.
+//! Records the acceptance numbers in `BENCH_incremental.json`: after
+//! editing a single corpus entry, the diff-aware resubmit must
+//! re-explore under 20% of the cold run's states
+//! (`reexplored_fraction`), and the fence-removal edit must surface as
+//! a detected regression. Phases are separated by
+//! [`sct_symx::retire_arena`], exactly like separate CLI invocations of
+//! `pitchfork ci-gate`.
 
-use criterion::{criterion_group, criterion_main, Criterion};
 use pitchfork::incremental::save_baseline;
 use pitchfork::{BaselineManifest, BatchItem, DetectorOptions, IncrementalReport, SessionBuilder};
 use sct_core::Reg;
 use sct_symx::retire_arena;
 use std::fmt::Write as _;
 use std::path::{Path, PathBuf};
-use std::time::{Duration, Instant};
+use std::time::Instant;
 
 const BOUND: usize = 16;
 /// The corpus entry the "one-line edit" mutates: dropping its fence
@@ -70,52 +69,18 @@ fn gate_pass(dir: &Path, items: Vec<BatchItem>, baseline: &BaselineManifest) -> 
     session.analyze_incremental(items, baseline)
 }
 
-fn bench_incremental(c: &mut Criterion) {
+fn main() {
+    // `cargo bench` passes harness flags; a plain main ignores them.
     let dir = baseline_dir();
     let _ = std::fs::remove_dir_all(&dir);
     std::fs::create_dir_all(&dir).expect("baseline dir");
 
-    let mut group = c.benchmark_group("incremental");
-    group.sample_size(10);
-    group.measurement_time(Duration::from_secs(2));
-    group.warm_up_time(Duration::from_millis(300));
-
-    // Cold gate: empty epoch, empty baseline — every entry is New.
-    group.bench_function("gate_cold", |b| {
-        b.iter(|| {
-            retire_arena();
-            let _ = std::fs::remove_dir_all(&dir);
-            std::fs::create_dir_all(&dir).expect("baseline dir");
-            std::hint::black_box(gate_pass(&dir, corpus_items(false), &BaselineManifest::empty()))
-        })
-    });
-
-    // Seed the baseline the diff runs replay against.
+    // Cold gate: empty epoch, empty baseline — every entry is New. It
+    // seeds the baseline the replay and one-edit runs diff against.
     retire_arena();
-    let _ = std::fs::remove_dir_all(&dir);
-    std::fs::create_dir_all(&dir).expect("baseline dir");
     let cold = gate_pass(&dir, corpus_items(false), &BaselineManifest::empty());
     save_baseline(&dir, &cold.manifest).expect("baseline saves");
     let baseline = BaselineManifest::load_dir(&dir).expect("baseline loads");
-
-    // Warm replay: nothing changed, every entry replays (zero
-    // exploration) — the steady-state CI cost of an untouched corpus.
-    group.bench_function("gate_replay", |b| {
-        b.iter(|| {
-            retire_arena();
-            std::hint::black_box(gate_pass(&dir, corpus_items(false), &baseline))
-        })
-    });
-
-    // One-line edit: exactly one entry re-explored against the warm
-    // memo, the other 22 replayed.
-    group.bench_function("gate_one_edit", |b| {
-        b.iter(|| {
-            retire_arena();
-            std::hint::black_box(gate_pass(&dir, corpus_items(true), &baseline))
-        })
-    });
-    group.finish();
 
     write_incremental_stats(&dir, &baseline, &cold);
     let _ = std::fs::remove_dir_all(&dir);
@@ -185,7 +150,7 @@ fn write_incremental_stats(dir: &Path, baseline: &BaselineManifest, cold: &Incre
     );
     json.push_str("}\n");
 
-    let out_dir = criterion::Criterion::output_dir();
+    let out_dir = sct_bench::manifest::output_dir();
     let path = out_dir.join("BENCH_incremental.json");
     if let Err(e) = std::fs::write(&path, json) {
         eprintln!("could not write {}: {e}", path.display());
@@ -206,6 +171,3 @@ fn write_incremental_stats(dir: &Path, baseline: &BaselineManifest, cold: &Incre
         }
     );
 }
-
-criterion_group!(benches, bench_incremental);
-criterion_main!(benches);

@@ -14,9 +14,8 @@
 //! seed, host CPUs, thread counts); every run also appends a line to
 //! `audit.jsonl` next to the artifact. On a single-core host the
 //! ratio is labeled `oversubscription`, never `speedup` — there is no
-//! parallelism to measure there, only scheduling overhead. Timing is
-//! hand-rolled rather than criterion-driven because the cold
-//! configuration must retire the process-wide arena *between* (not
+//! parallelism to measure there, only scheduling overhead. The cold
+//! configuration retires the process-wide arena *between* (not
 //! inside) timed passes.
 
 use pitchfork::{AnalysisSession, BatchItem, DetectorOptions};
@@ -251,7 +250,7 @@ fn main() {
         );
     }
     json.push_str("  ]\n}\n");
-    let dir = criterion::Criterion::output_dir();
+    let dir = sct_bench::manifest::output_dir();
     let path = dir.join("BENCH_parallel_scaling.json");
     match std::fs::write(&path, &json) {
         Ok(()) => println!("wrote {}", path.display()),

@@ -4,15 +4,15 @@
 //! [`RunManifest`] — the git commit, a hash of the measurement
 //! configuration, the steal seed, the host's CPU count, and the thread
 //! counts exercised — and appends one line to `audit.jsonl` next to
-//! the artifact. The manifest answers "what produced this number?"
-//! months later, and the audit log accumulates a local history of runs
-//! so a regression can be bisected against the environment (a 1-CPU CI
-//! container and an 8-core workstation produce very different
-//! "speedups"; without `host_cpus` in the artifact they are
-//! indistinguishable).
+//! the artifact, both in [`output_dir`]. The manifest answers "what
+//! produced this number?" months later, and the audit log accumulates
+//! a local history of runs so a regression can be bisected against the
+//! environment (a 1-CPU CI container and an 8-core workstation produce
+//! very different "speedups"; without `host_cpus` in the artifact they
+//! are indistinguishable).
 
 use std::fmt::Write as _;
-use std::path::Path;
+use std::path::{Path, PathBuf};
 use std::process::Command;
 use std::time::{SystemTime, UNIX_EPOCH};
 
@@ -96,6 +96,25 @@ impl RunManifest {
             .open(dir.join("audit.jsonl"))?;
         f.write_all(line.as_bytes())
     }
+}
+
+/// Where `BENCH_*.json` records and `audit.jsonl` land:
+/// `$BENCH_OUT_DIR` when set, else the workspace root (the nearest
+/// ancestor of the working directory whose `Cargo.toml` declares
+/// `[workspace]`; `cargo bench` runs a bench from its package
+/// directory), else the working directory.
+pub fn output_dir() -> PathBuf {
+    if let Ok(d) = std::env::var("BENCH_OUT_DIR") {
+        return PathBuf::from(d);
+    }
+    let cwd = std::env::current_dir().unwrap_or_else(|_| PathBuf::from("."));
+    for dir in cwd.ancestors() {
+        let manifest = std::fs::read_to_string(dir.join("Cargo.toml"));
+        if manifest.is_ok_and(|t| t.contains("[workspace]")) {
+            return dir.to_path_buf();
+        }
+    }
+    cwd
 }
 
 /// `git rev-parse HEAD`, or `"unknown"`.

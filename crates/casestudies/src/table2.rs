@@ -13,16 +13,28 @@ pub struct Cell {
     pub v1: bool,
     /// Flagged in v4 mode (with forwarding hazards).
     pub v4: bool,
+    /// The v1-mode run stopped at its state budget.
+    pub v1_truncated: bool,
+    /// The v4-mode run stopped at its state budget.
+    pub v4_truncated: bool,
 }
 
 impl Cell {
     /// The paper's notation: `✗` = violation found in v1 mode, `f` =
     /// found only with forwarding-hazard detection, `✓` = no violation.
+    /// A symbol that rests on a run which found nothing and truncated
+    /// is `?` instead: that run's silence is not a verdict.
     pub fn symbol(&self) -> &'static str {
-        match (self.v1, self.v4) {
-            (true, _) => "✗",
-            (false, true) => "f",
-            (false, false) => "✓",
+        if self.v1 {
+            "✗"
+        } else if self.v1_truncated {
+            "?"
+        } else if self.v4 {
+            "f"
+        } else if self.v4_truncated {
+            "?"
+        } else {
+            "✓"
         }
     }
 }
@@ -61,16 +73,6 @@ pub fn all_studies() -> Vec<CaseStudy> {
         meecbc::c_variant(),
         meecbc::fact_variant(),
     ]
-}
-
-/// Analyze one build in one mode.
-pub fn analyze(study: &CaseStudy, forwarding_hazards: bool, bound: usize) -> pitchfork::Report {
-    let options = if forwarding_hazards {
-        DetectorOptions::v4_mode(bound)
-    } else {
-        DetectorOptions::v1_mode(bound)
-    };
-    AnalysisSession::with_options(options).analyze(&study.program, &study.config)
 }
 
 /// The key a study gets inside the Table 2 batches.
@@ -152,8 +154,8 @@ pub fn run_cached(
 }
 
 /// Assemble the detection matrix from one batch per mode (exposed so
-/// callers holding their own batch reports — the bench, the example —
-/// can render the paper's table without re-running).
+/// callers holding their own batch reports, such as `perfbench`, can
+/// render the paper's table without re-running).
 pub fn from_batches(v1: &BatchReport, v4: &BatchReport, v1_bound: usize, v4_bound: usize) -> Table2 {
     let names = [
         "curve25519-donna",
@@ -161,17 +163,25 @@ pub fn from_batches(v1: &BatchReport, v4: &BatchReport, v1_bound: usize, v4_boun
         "OpenSSL ssl3 record validate",
         "OpenSSL MEE-CBC",
     ];
-    let flagged = |batch: &BatchReport, key: &str| {
-        batch
-            .outcome(key)
-            .is_some_and(|o| o.report.has_violations())
+    // (flagged, truncated) for one build's run in one mode.
+    let result = |batch: &BatchReport, key: &str| {
+        batch.outcome(key).map_or((false, false), |o| {
+            (o.report.has_violations(), o.report.stats.truncated)
+        })
     };
     let rows = names
         .into_iter()
         .map(|name| {
-            let cell = |variant: &str| Cell {
-                v1: flagged(v1, &format!("{name}/{variant}")),
-                v4: flagged(v4, &format!("{name}/{variant}")),
+            let cell = |variant: &str| {
+                let key = format!("{name}/{variant}");
+                let (v1_flagged, v1_truncated) = result(v1, &key);
+                let (v4_flagged, v4_truncated) = result(v4, &key);
+                Cell {
+                    v1: v1_flagged,
+                    v4: v4_flagged,
+                    v1_truncated,
+                    v4_truncated,
+                }
             };
             Row {
                 name,
@@ -198,6 +208,16 @@ impl fmt::Display for Table2 {
             "hazard detection; ✓ = no violation (bounds: v1 {}, v4 {})",
             self.v1_bound, self.v4_bound
         )?;
+        if self
+            .rows
+            .iter()
+            .any(|r| r.c.symbol() == "?" || r.fact.symbol() == "?")
+        {
+            writeln!(
+                f,
+                "? = no violation found before the search hit its state budget"
+            )?;
+        }
         writeln!(f)?;
         writeln!(f, "{:<32} {:>4} {:>5}", "Case Study", "C", "FaCT")?;
         for row in &self.rows {
@@ -219,8 +239,22 @@ mod tests {
 
     #[test]
     fn cell_symbols() {
-        assert_eq!(Cell { v1: true, v4: true }.symbol(), "✗");
-        assert_eq!(Cell { v1: false, v4: true }.symbol(), "f");
-        assert_eq!(Cell { v1: false, v4: false }.symbol(), "✓");
+        let cell = |v1, v1_truncated, v4, v4_truncated| Cell {
+            v1,
+            v4,
+            v1_truncated,
+            v4_truncated,
+        };
+        // Complete runs: the paper's notation.
+        assert_eq!(cell(true, false, true, false).symbol(), "✗");
+        assert_eq!(cell(false, false, true, false).symbol(), "f");
+        assert_eq!(cell(false, false, false, false).symbol(), "✓");
+        // A violation found stands, whatever else truncated.
+        assert_eq!(cell(true, true, false, true).symbol(), "✗");
+        assert_eq!(cell(false, false, true, true).symbol(), "f");
+        // A run that found nothing before truncating decides nothing.
+        assert_eq!(cell(false, true, true, false).symbol(), "?");
+        assert_eq!(cell(false, true, false, false).symbol(), "?");
+        assert_eq!(cell(false, false, false, true).symbol(), "?");
     }
 }

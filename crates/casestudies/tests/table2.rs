@@ -17,22 +17,24 @@ use sct_core::Params;
 const V1_BOUND: usize = 40;
 const V4_BOUND: usize = 20;
 
+/// A cell whose runs both completed within their state budgets.
+fn complete(v1: bool, v4: bool) -> Cell {
+    Cell {
+        v1,
+        v4,
+        v1_truncated: false,
+        v4_truncated: false,
+    }
+}
+
 #[test]
 fn table2_matrix_matches_paper() {
     let table = table2::run(V1_BOUND, V4_BOUND);
     let expect = [
-        ("curve25519-donna", Cell { v1: false, v4: false }, Cell { v1: false, v4: false }),
-        ("libsodium secretbox", Cell { v1: true, v4: true }, Cell { v1: false, v4: false }),
-        (
-            "OpenSSL ssl3 record validate",
-            Cell { v1: true, v4: true },
-            Cell { v1: false, v4: true },
-        ),
-        (
-            "OpenSSL MEE-CBC",
-            Cell { v1: true, v4: true },
-            Cell { v1: false, v4: true },
-        ),
+        ("curve25519-donna", complete(false, false), complete(false, false)),
+        ("libsodium secretbox", complete(true, true), complete(false, false)),
+        ("OpenSSL ssl3 record validate", complete(true, true), complete(false, true)),
+        ("OpenSSL MEE-CBC", complete(true, true), complete(false, true)),
     ];
     assert_eq!(table.rows.len(), expect.len());
     for (row, (name, c, fact)) in table.rows.iter().zip(expect) {
@@ -45,6 +47,38 @@ fn table2_matrix_matches_paper() {
     assert!(text.contains("curve25519-donna"), "{text}");
     assert!(text.contains('✗'));
     assert!(text.contains('f'));
+    assert!(!text.contains('?'), "{text}");
+}
+
+/// A search that gives up is not a clean bill: with a state budget too
+/// small for curve25519-donna, both of its cells render `?` (never the
+/// `✓` of a completed search) and the table explains the symbol.
+#[test]
+fn truncated_runs_render_as_unknown() {
+    use pitchfork::{AnalysisSession, DetectorOptions};
+    let run = |mut options: DetectorOptions| {
+        options.explorer.max_states = 50;
+        AnalysisSession::with_options(options).run_batch(table2::batch_items())
+    };
+    let v1 = run(DetectorOptions::v1_mode(V1_BOUND));
+    let v4 = run(DetectorOptions::v4_mode(V4_BOUND));
+    let table = table2::from_batches(&v1, &v4, V1_BOUND, V4_BOUND);
+    let donna = &table.rows[0];
+    assert_eq!(donna.name, "curve25519-donna");
+    for cell in [donna.c, donna.fact] {
+        assert!(!cell.v1 && cell.v1_truncated, "{cell:?}");
+        assert_eq!(cell.symbol(), "?");
+    }
+    let text = table.to_string();
+    assert!(
+        text.lines().any(|l| l.starts_with("? = ")),
+        "no legend for `?`:\n{text}"
+    );
+    let donna_line = text
+        .lines()
+        .find(|l| l.starts_with("curve25519-donna"))
+        .expect("donna row");
+    assert_eq!(donna_line.matches('?').count(), 2, "{donna_line}");
 }
 
 /// Every case study is sequentially constant-time — the violations the

@@ -406,9 +406,7 @@
 //!   list shared with every state on the same prefix, built into flat
 //!   vectors only for a [`Violation`] or a caller that asks
 //!   ([`SymState::schedule`], [`SymState::trace`]); and memory is shared
-//!   copy-on-write, copied only when a retiring store changes a cell;
-//! * [`repair`](crate::repair) inserts fences until the detector is
-//!   satisfied.
+//!   copy-on-write, copied only when a retiring store changes a cell.
 
 #![warn(missing_docs)]
 #![warn(rust_2018_idioms)]
@@ -424,7 +422,6 @@ pub mod machine;
 pub mod observe;
 pub mod parallel;
 pub mod protocol;
-pub mod repair;
 pub mod report;
 pub mod server;
 pub mod service;
@@ -443,7 +440,6 @@ pub use incremental::{
 pub use machine::SymMachine;
 pub use observe::{BoxObserver, Event, EventLog, Observer, OwnedEvent};
 pub use protocol::{ProtocolError, Request, Response, WireViolation};
-pub use repair::{insert_fences, repair, suggest_fences, RepairError, Repaired};
 pub use report::{ExploreStats, Report, Verdict, Violation};
 pub use server::Server;
 pub use service::{

@@ -920,41 +920,9 @@ fn run_events(args: Vec<String>) -> ExitCode {
     }
 }
 
-/// Render [`ServiceStats`] as Prometheus-style exposition lines, one
-/// `service_*` family per field, matching the registry families that
-/// [`sct_telemetry::render_prometheus`] emits after it.
-fn render_service_stats(stats: &ServiceStats) -> String {
-    let mut out = String::new();
-    let families: [(&str, &str, u64); 19] = [
-        ("service_jobs_submitted", "counter", stats.jobs_submitted),
-        ("service_jobs_done", "counter", stats.jobs_done),
-        ("service_jobs_failed", "counter", stats.jobs_failed),
-        ("service_jobs_cancelled", "counter", stats.jobs_cancelled),
-        ("service_jobs_timed_out", "counter", stats.jobs_timed_out),
-        ("service_jobs_replayed", "counter", stats.jobs_replayed),
-        ("service_budget_clamped_jobs", "counter", stats.budget_clamped_jobs),
-        ("service_seed_nodes_added", "counter", stats.seed_nodes_added),
-        ("service_seed_verdicts_imported", "counter", stats.seed_verdicts_imported),
-        ("service_jobs_queued", "gauge", stats.queued),
-        ("service_queue_wait_ms_total", "counter", stats.queue_wait_ms_total),
-        ("service_run_ms_total", "counter", stats.run_ms_total),
-        ("service_jobs_timed", "counter", stats.jobs_timed),
-        ("service_events_dropped", "counter", stats.events_dropped),
-        ("service_epochs_retired", "counter", stats.epochs_retired),
-        ("service_arena_nodes", "gauge", stats.arena_nodes),
-        ("service_memo_entries", "gauge", stats.memo_entries),
-        ("service_memo_hits", "counter", stats.memo_hits),
-        ("service_memo_misses", "counter", stats.memo_misses),
-    ];
-    for (name, kind, value) in families {
-        out.push_str(&format!("# TYPE {name} {kind}\n{name} {value}\n"));
-    }
-    out
-}
-
-/// [`ServiceStats`] as counter/gauge snapshots (same families as
-/// [`render_service_stats`]) so `metrics --watch` deltas them alongside
-/// the registry metrics.
+/// [`ServiceStats`] as counter/gauge snapshots, one `service_*` family
+/// per field, in exposition order. The scrape renders them ahead of the
+/// registry families and `metrics --watch` deltas them alongside.
 fn service_stat_snapshots(stats: &ServiceStats) -> Vec<sct_telemetry::MetricSnapshot> {
     use sct_telemetry::{MetricKind, MetricSnapshot};
     let families = [
@@ -964,12 +932,19 @@ fn service_stat_snapshots(stats: &ServiceStats) -> Vec<sct_telemetry::MetricSnap
         ("service_jobs_cancelled", MetricKind::Counter, stats.jobs_cancelled),
         ("service_jobs_timed_out", MetricKind::Counter, stats.jobs_timed_out),
         ("service_jobs_replayed", MetricKind::Counter, stats.jobs_replayed),
+        ("service_budget_clamped_jobs", MetricKind::Counter, stats.budget_clamped_jobs),
+        ("service_seed_nodes_added", MetricKind::Counter, stats.seed_nodes_added),
+        ("service_seed_verdicts_imported", MetricKind::Counter, stats.seed_verdicts_imported),
         ("service_jobs_queued", MetricKind::Gauge, stats.queued),
         ("service_queue_wait_ms_total", MetricKind::Counter, stats.queue_wait_ms_total),
         ("service_run_ms_total", MetricKind::Counter, stats.run_ms_total),
+        ("service_jobs_timed", MetricKind::Counter, stats.jobs_timed),
+        ("service_events_dropped", MetricKind::Counter, stats.events_dropped),
         ("service_epochs_retired", MetricKind::Counter, stats.epochs_retired),
         ("service_arena_nodes", MetricKind::Gauge, stats.arena_nodes),
         ("service_memo_entries", MetricKind::Gauge, stats.memo_entries),
+        ("service_memo_hits", MetricKind::Counter, stats.memo_hits),
+        ("service_memo_misses", MetricKind::Counter, stats.memo_misses),
     ];
     families
         .into_iter()
@@ -991,11 +966,11 @@ fn run_metrics(args: Vec<String>) -> ExitCode {
     let scrape = |client: &mut Client| -> Result<_, _> {
         client.metrics().map(|(stats, metrics)| {
             let mut snaps = service_stat_snapshots(&stats);
-            snaps.extend(metrics.iter().cloned());
-            (stats, metrics, snaps)
+            snaps.extend(metrics);
+            snaps
         })
     };
-    let (stats, metrics, mut prev) = match scrape(&mut client) {
+    let mut prev = match scrape(&mut client) {
         Ok(s) => s,
         Err(e) => {
             eprintln!("metrics: {e}");
@@ -1004,8 +979,7 @@ fn run_metrics(args: Vec<String>) -> ExitCode {
     };
     {
         use std::io::Write as _;
-        let mut text = render_service_stats(&stats);
-        text.push_str(&sct_telemetry::render_prometheus(&metrics));
+        let text = sct_telemetry::render_prometheus(&prev);
         // One write, tolerant of a closed stdout (`... | head`).
         let _ = std::io::stdout().write_all(text.as_bytes());
     }
@@ -1017,7 +991,7 @@ fn run_metrics(args: Vec<String>) -> ExitCode {
     let period = Duration::from_secs(every);
     loop {
         std::thread::sleep(period);
-        let (_, _, cur) = match scrape(&mut client) {
+        let cur = match scrape(&mut client) {
             Ok(s) => s,
             Err(e) => {
                 eprintln!("metrics: {e}");
@@ -1523,5 +1497,58 @@ fn main() -> ExitCode {
             run_simple_verb(args, &verb)
         }
         _ => run_oneshot(args),
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    /// The scrape's `service_*` families, in exposition order: one table
+    /// feeds both the scrape and `metrics --watch`, so a family added to
+    /// one cannot go missing from the other.
+    #[test]
+    fn service_families_are_pinned() {
+        let snaps = service_stat_snapshots(&ServiceStats::default());
+        let names: Vec<&str> = snaps.iter().map(|s| s.name.as_str()).collect();
+        assert_eq!(
+            names,
+            [
+                "service_jobs_submitted",
+                "service_jobs_done",
+                "service_jobs_failed",
+                "service_jobs_cancelled",
+                "service_jobs_timed_out",
+                "service_jobs_replayed",
+                "service_budget_clamped_jobs",
+                "service_seed_nodes_added",
+                "service_seed_verdicts_imported",
+                "service_jobs_queued",
+                "service_queue_wait_ms_total",
+                "service_run_ms_total",
+                "service_jobs_timed",
+                "service_events_dropped",
+                "service_epochs_retired",
+                "service_arena_nodes",
+                "service_memo_entries",
+                "service_memo_hits",
+                "service_memo_misses",
+            ]
+        );
+        let text = sct_telemetry::render_prometheus(&snaps);
+        assert!(text.starts_with("# TYPE service_jobs_submitted counter\nservice_jobs_submitted 0\n"));
+        assert!(text.contains("# TYPE service_jobs_queued gauge\nservice_jobs_queued 0\n"));
+
+        let before = ServiceStats::default();
+        let after = ServiceStats {
+            events_dropped: 3,
+            ..before
+        };
+        let delta = sct_telemetry::render_delta(
+            &service_stat_snapshots(&before),
+            &service_stat_snapshots(&after),
+            1.0,
+        );
+        assert_eq!(delta, "service_events_dropped +3 (3.0/s)\n");
     }
 }

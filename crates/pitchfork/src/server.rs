@@ -239,11 +239,6 @@ impl Server {
         self.shared.work.notify_all();
     }
 
-    /// `true` until a `Shutdown` request or [`Server::shutdown`] call.
-    pub fn is_running(&self) -> bool {
-        !self.shared.shutdown.load(Ordering::SeqCst)
-    }
-
     /// Block until the daemon stops, then remove the socket file (Unix
     /// endpoints only; TCP has nothing to clean up).
     pub fn wait(mut self) {

@@ -546,8 +546,6 @@ impl JobEntry {
 
 struct MonitorInner {
     jobs: BTreeMap<u64, JobEntry>,
-    /// Events outside any job (epoch retirements).
-    service_events: Vec<OwnedEvent>,
     /// Events lost to per-job retention, summed over every job
     /// (retained *and* already-evicted records).
     events_dropped_total: u64,
@@ -576,7 +574,6 @@ impl ServiceMonitor {
         ServiceMonitor {
             inner: Arc::new(Mutex::new(MonitorInner {
                 jobs: BTreeMap::new(),
-                service_events: Vec::new(),
                 events_dropped_total: 0,
                 trace: None,
             })),
@@ -747,14 +744,10 @@ impl ServiceMonitor {
         }
     }
 
-    /// Append a service-level event (the session's own events: epoch
-    /// retirements).
+    /// Trace a service-level event (the session's own events: epoch
+    /// retirements). No job owns it, so only the trace records it.
     fn record_service_event(&self, event: OwnedEvent) {
-        let mut inner = self.lock();
-        Self::trace_event(&inner.trace, None, &event);
-        if inner.service_events.len() < MAX_EVENTS_PER_JOB {
-            inner.service_events.push(event);
-        }
+        Self::trace_event(&self.lock().trace, None, &event);
     }
 
     /// Append an event to a job's log (several running jobs stream at
@@ -900,17 +893,6 @@ impl ServiceMonitor {
     /// monitor ever tracked (survives job-record eviction).
     pub fn events_dropped_total(&self) -> u64 {
         self.lock().events_dropped_total
-    }
-
-    /// Service-level events (epoch retirements) from index `since` on,
-    /// with the next cursor.
-    pub fn service_events_since(&self, since: usize) -> (Vec<OwnedEvent>, usize) {
-        let inner = self.lock();
-        let start = since.min(inner.service_events.len());
-        (
-            inner.service_events[start..].to_vec(),
-            inner.service_events.len(),
-        )
     }
 }
 

@@ -6,8 +6,10 @@
 //! strategy reaches the same *verdict* — but the number of states
 //! expanded before the **first witness** differs. Under a tight state
 //! budget the order decides whether a violation is found before the
-//! search truncates; the strategy-equivalence test suite pins the
-//! verdict invariant, the `strategy_sweep` bench measures the rest.
+//! search truncates. The strategy-equivalence test suite pins the
+//! verdict invariant; each run reports the rest in
+//! [`crate::ExploreStats::first_witness_states`] and
+//! [`crate::ExploreStats::first_witness_depth`].
 //!
 //! Two orders ship:
 //!
