@@ -30,11 +30,6 @@ impl Reg {
         Reg(i)
     }
 
-    /// `true` for `rsp`/`rtmp`.
-    pub fn is_reserved(self) -> bool {
-        self == Reg::RSP || self == Reg::RTMP
-    }
-
     /// Conventional names `ra..rz` for the first 26 registers, then `r<i>`.
     pub fn name(self) -> String {
         match self {

@@ -394,11 +394,6 @@ pub fn fired(point: FaultPoint) -> u64 {
     STATE.fired[point.slot()].load(Ordering::Relaxed)
 }
 
-/// Times any point has fired since the plan was armed.
-pub fn fired_total() -> u64 {
-    STATE.fired.iter().map(|f| f.load(Ordering::Relaxed)).sum()
-}
-
 /// Arrivals counted at `point` since the plan was armed.
 pub fn arrivals(point: FaultPoint) -> u64 {
     STATE.arrivals[point.slot()].load(Ordering::Relaxed)

@@ -12,7 +12,7 @@
 
 use pitchfork::StrategyKind;
 use sct_litmus::corpus;
-use sct_litmus::harness::{run_corpus_parallel, run_corpus_with_strategy};
+use sct_litmus::harness::{run_corpus_parallel, run_corpus_with_strategy, CorpusVerdicts};
 
 const THREAD_COUNTS: [usize; 3] = [2, 4, 8];
 
@@ -89,19 +89,15 @@ fn parallel_verdicts_match_serial_for_every_strategy() {
     }
 }
 
-/// Each case gets what the determinism contract promises for
-/// `threads > 1` with dedup on and no truncation: the serial verdict,
-/// the serial witness multiset (every violation's (pc, observation)
-/// pair with its multiplicity) and the serial `states`, `steps` and
-/// `deduped`. Schedules are left out: the schedule prefix that names a
-/// witness reachable along several schedules depends on which worker
-/// gets there first.
-#[test]
-fn parallel_witness_sets_match_serial() {
-    let cases = corpus::cases();
-    let serial = run_corpus_with_strategy(&cases, StrategyKind::Lifo);
-    let par = run_corpus_parallel(&cases, StrategyKind::Lifo, 4);
-    let witnesses = |r: &pitchfork::Report| -> Vec<(u64, String)> {
+/// Assert that every case of two corpus runs agrees on what the
+/// determinism contract promises for `threads > 1` with dedup on and no
+/// truncation: the verdict, the witness multiset (every violation's
+/// (pc, observation) pair with its multiplicity) and `states`, `steps`
+/// and `deduped`. Schedules are left out: the schedule prefix that
+/// names a witness reachable along several schedules depends on which
+/// worker gets there first.
+fn assert_contract_agrees(a: &CorpusVerdicts, b: &CorpusVerdicts, what: &str) {
+    let witnesses = |r: &pitchfork::Report| {
         let mut keys: Vec<(u64, String)> = r
             .violations
             .iter()
@@ -110,53 +106,33 @@ fn parallel_witness_sets_match_serial() {
         keys.sort();
         keys
     };
-    for (s, p) in serial
-        .v1
-        .outcomes
-        .iter()
-        .chain(serial.v4.outcomes.iter())
-        .zip(par.v1.outcomes.iter().chain(par.v4.outcomes.iter()))
-    {
-        let (s, p, name) = (&s.report, &p.report, &s.name);
-        assert!(
-            !p.stats.truncated,
-            "{name}: the contract needs an untruncated run"
-        );
-        assert_eq!(p.verdict(), s.verdict(), "{name}: verdicts differ");
-        assert_eq!(
-            witnesses(p),
-            witnesses(s),
-            "{name}: witness multisets differ between serial and 4 threads"
-        );
-        assert_eq!(p.stats.states, s.stats.states, "{name}: states differ");
-        assert_eq!(p.stats.steps, s.stats.steps, "{name}: steps differ");
-        assert_eq!(p.stats.deduped, s.stats.deduped, "{name}: deduped differ");
+    let a_runs = a.v1.outcomes.iter().chain(&a.v4.outcomes);
+    for (x, y) in a_runs.zip(b.v1.outcomes.iter().chain(&b.v4.outcomes)) {
+        let (x, y, name) = (&x.report, &y.report, &x.name);
+        assert!(!y.stats.truncated, "{name}: the contract needs an untruncated run");
+        assert_eq!(x.verdict(), y.verdict(), "{name}: verdicts differ ({what})");
+        assert_eq!(witnesses(x), witnesses(y), "{name}: witness multisets differ ({what})");
+        assert_eq!(x.stats.states, y.stats.states, "{name}: states differ ({what})");
+        assert_eq!(x.stats.steps, y.stats.steps, "{name}: steps differ ({what})");
+        assert_eq!(x.stats.deduped, y.stats.deduped, "{name}: deduped differ ({what})");
     }
 }
 
-/// Two parallel runs of the same workload agree with each other on
-/// everything order-insensitive (states, steps, verdicts) even though
-/// their internal schedules differ — the merge step's canonical
-/// ordering also makes the violation lists identical.
+/// Each case gets the serial engine's contract fields at 4 threads.
+#[test]
+fn parallel_witness_sets_match_serial() {
+    let cases = corpus::cases();
+    let serial = run_corpus_with_strategy(&cases, StrategyKind::Lifo);
+    let par = run_corpus_parallel(&cases, StrategyKind::Lifo, 4);
+    assert_contract_agrees(&serial, &par, "serial vs 4 threads");
+}
+
+/// Two 4-thread runs of the same workload agree on the contract fields
+/// — and only on those: it is the schedules they may not share.
 #[test]
 fn parallel_runs_are_reproducible_where_promised() {
     let cases = corpus::cases();
     let a = run_corpus_parallel(&cases, StrategyKind::Fifo, 4);
     let b = run_corpus_parallel(&cases, StrategyKind::Fifo, 4);
-    for (x, y) in a.v1.outcomes.iter().zip(b.v1.outcomes.iter()) {
-        assert_eq!(x.report.stats.states, y.report.stats.states, "{}", x.name);
-        assert_eq!(x.report.stats.steps, y.report.stats.steps, "{}", x.name);
-        let render = |r: &pitchfork::Report| {
-            r.violations
-                .iter()
-                .map(|v| format!("{} {} {}", v.pc, v.schedule, v.observation))
-                .collect::<Vec<_>>()
-        };
-        assert_eq!(
-            render(&x.report),
-            render(&y.report),
-            "{}: canonical violation order is not reproducible",
-            x.name
-        );
-    }
+    assert_contract_agrees(&a, &b, "two 4-thread runs");
 }

@@ -172,21 +172,6 @@ impl BatchReport {
     pub fn outcome(&self, name: &str) -> Option<&BatchOutcome> {
         self.outcomes.iter().find(|o| o.name == name)
     }
-
-    /// Per-item first-witness metrics: `(name, states expanded when the
-    /// first witness appeared, schedule depth of that witness)` for
-    /// every flagged item — the numbers strategy A/B comparisons are
-    /// made of.
-    pub fn first_witnesses(&self) -> Vec<(&str, usize, usize)> {
-        self.outcomes
-            .iter()
-            .filter_map(|o| {
-                let states = o.report.stats.first_witness_states?;
-                let depth = o.report.stats.first_witness_depth?;
-                Some((o.name.as_str(), states, depth))
-            })
-            .collect()
-    }
 }
 
 impl fmt::Display for BatchReport {

@@ -193,28 +193,6 @@ impl Client {
         }
     }
 
-    /// Submit `.sasm` source with a baseline record from a previous
-    /// run (the incremental CI-gate path): a daemon whose recomputed
-    /// fingerprint matches replays the baseline verdict without
-    /// exploring; any mismatch runs the job in full.
-    pub fn submit_source_diff(
-        &mut self,
-        name: impl Into<String>,
-        source: impl Into<String>,
-        spec: JobSpec,
-        baseline: crate::service::JobBaseline,
-    ) -> Result<JobId, ClientError> {
-        match self.request(&Request::SubmitDiff {
-            name: name.into(),
-            source: source.into(),
-            spec,
-            baseline,
-        })? {
-            Response::Accepted { id } => Ok(JobId::from_u64(id)),
-            _ => Err(ClientError::Unexpected("accepted")),
-        }
-    }
-
     /// One status/verdict snapshot for a job.
     pub fn status(&mut self, id: JobId) -> Result<JobView, ClientError> {
         match self.request(&Request::Status { id: id.as_u64() })? {

@@ -41,6 +41,7 @@ use crate::report::{Report, Violation};
 use crate::state::{SymState, SymStoreAddr, SymTransient};
 use crate::strategy::StrategyKind;
 use sct_core::{Directive, Instr, Observation, Params, Program};
+use sct_telemetry::SpanStamp;
 use std::sync::LazyLock;
 use std::time::Instant;
 
@@ -54,14 +55,14 @@ static STATE_EXPAND_HIST: LazyLock<&'static sct_telemetry::Histogram> =
 /// publishes when the timer drops. When telemetry is disabled the
 /// timer is inert and never touches the clock.
 pub(crate) struct ExpandTimer {
-    spans: Option<(sct_telemetry::LocalHist, Instant)>,
+    spans: Option<(sct_telemetry::LocalHist, SpanStamp)>,
 }
 
 impl ExpandTimer {
     pub(crate) fn start() -> ExpandTimer {
         ExpandTimer {
             spans: sct_telemetry::enabled()
-                .then(|| (sct_telemetry::LocalHist::new(*STATE_EXPAND_HIST), Instant::now())),
+                .then(|| (sct_telemetry::LocalHist::new(*STATE_EXPAND_HIST), SpanStamp::now())),
         }
     }
 
@@ -71,8 +72,8 @@ impl ExpandTimer {
     pub(crate) fn stamp(&mut self) -> u64 {
         match self.spans.as_mut() {
             Some((hist, last)) => {
-                let now = Instant::now();
-                let ns = sct_telemetry::saturating_ns(now.duration_since(*last));
+                let now = SpanStamp::now();
+                let ns = last.ns_until(now);
                 hist.record_ns(ns);
                 *last = now;
                 ns
@@ -86,7 +87,7 @@ impl ExpandTimer {
     #[inline]
     pub(crate) fn reset(&mut self) {
         if let Some((_, last)) = self.spans.as_mut() {
-            *last = Instant::now();
+            *last = SpanStamp::now();
         }
     }
 }
@@ -157,7 +158,9 @@ pub struct ExplorerOptions {
     /// clean run is `Unknown`, never a false `Secure`. Deliberately
     /// *not* part of the incremental-analysis config fingerprint:
     /// a deadline changes how long the search may run, not what any
-    /// completed analysis means.
+    /// completed analysis means. So a result the deadline cut short
+    /// does not match its fingerprint, and the CI gate
+    /// ([`crate::IncrementalGate`]) prints it without recording it.
     pub deadline_ms: Option<u64>,
 }
 

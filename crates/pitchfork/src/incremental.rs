@@ -20,19 +20,25 @@
 //!   [`EntryPlan::Unchanged`] (replay the baseline verdict, zero
 //!   exploration), [`EntryPlan::Dirty`] (re-explore against the warm
 //!   memo), or [`EntryPlan::New`].
+//! * [`IncrementalGate`] — the gate itself: plans a batch, replays the
+//!   unchanged entries, takes a fresh result for every other one, and
+//!   builds the [`IncrementalReport`].
 //!
-//! [`crate::AnalysisSession::analyze_incremental`] drives the planner
-//! over a batch and produces an [`IncrementalReport`]; the `ci-gate`
-//! CLI verb turns that report into an exit code (any entry flipping
-//! from non-insecure to insecure fails the gate).
+//! [`crate::AnalysisSession::analyze_incremental`] runs the gate with
+//! its own session as the analyser; `pitchfork ci-gate --connect` runs
+//! the same gate with a daemon as the analyser. The `ci-gate` CLI verb
+//! turns the report into an exit code (any entry flipping from
+//! non-insecure to insecure fails the gate).
 
+use crate::batch::BatchItem;
 use crate::detector::DetectorOptions;
 use crate::protocol::Json;
-use crate::report::Verdict;
+use crate::report::{ExploreStats, Verdict};
 use sct_core::{Instr, Pc, Program, Reg};
 use std::collections::{BTreeMap, BTreeSet};
 use std::fmt;
 use std::path::Path;
+use std::time::Instant;
 
 // ----- FNV-1a 64 ----------------------------------------------------------
 
@@ -472,18 +478,6 @@ pub enum EntryPlan {
     New,
 }
 
-impl fmt::Display for EntryPlan {
-    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        match self {
-            EntryPlan::Unchanged => write!(f, "unchanged"),
-            EntryPlan::Dirty { changed_blocks } => {
-                write!(f, "dirty ({changed_blocks} blocks changed)")
-            }
-            EntryPlan::New => write!(f, "new"),
-        }
-    }
-}
-
 /// Classify one entry against the baseline.
 pub fn plan_entry(
     baseline: &BaselineManifest,
@@ -534,6 +528,10 @@ pub struct IncrementalOutcome {
     /// The baseline verdict this entry moved away from, when the entry
     /// was dirty and the verdicts disagree.
     pub flip: Option<Verdict>,
+    /// Why a fresh result is not the analysis its fingerprint names, so
+    /// the manifest kept the entry's previous record (a new entry has
+    /// none, and stays out). `None` for recorded and replayed entries.
+    pub unrecorded: Option<&'static str>,
 }
 
 impl IncrementalOutcome {
@@ -586,32 +584,169 @@ impl IncrementalReport {
     }
 }
 
-impl fmt::Display for IncrementalReport {
-    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        writeln!(
-            f,
-            "incremental: {} entries — {} replayed, {} re-analyzed; {} states explored, {} skipped ({:.1}%) in {:.1?}",
-            self.outcomes.len(),
-            self.reused,
-            self.reanalyzed,
-            self.states_explored,
-            self.states_skipped,
-            100.0 * self.skip_ratio(),
-            self.wall,
-        )?;
-        for o in &self.outcomes {
-            writeln!(f, "{}", o.line)?;
+// ----- The gate -----------------------------------------------------------
+
+/// The incremental CI gate: plan every entry against a baseline, replay
+/// the unchanged ones, take a fresh result for each dirty or new one,
+/// and build the outcomes, the regressions and the refreshed manifest.
+///
+/// Callers differ only in who analyses the items
+/// [`IncrementalGate::plan`] hands back: a local session
+/// ([`crate::AnalysisSession::analyze_incremental`]) or a daemon
+/// (`pitchfork ci-gate --connect`, which submits each one with every
+/// fingerprinted option set explicitly). [`IncrementalGate::finish`]
+/// takes their results, in the order `plan` handed the items back.
+///
+/// The refreshed manifest keeps only results that are the analysis
+/// their fingerprint names. A run cut short by its wall-clock deadline
+/// (which the fingerprint leaves out), or run under a state budget the
+/// daemon clamped, is printed like any other; the entry's previous
+/// baseline record, if it has one, is carried forward unchanged, so the
+/// next run still compares against it.
+pub struct IncrementalGate<'a> {
+    start: Instant,
+    /// Every entry, in input order.
+    entries: Vec<Planned<'a>>,
+}
+
+/// One entry as [`IncrementalGate::plan`] left it.
+enum Planned<'a> {
+    /// Unchanged: replayed from its baseline record.
+    Replayed(&'a BaselineEntry),
+    /// Dirty or new: waits for a fresh result. `old` is its baseline
+    /// record, if it has one.
+    Fresh {
+        name: String,
+        plan: EntryPlan,
+        fingerprint: u64,
+        blocks: Vec<(Pc, u64)>,
+        old: Option<&'a BaselineEntry>,
+    },
+}
+
+impl<'a> IncrementalGate<'a> {
+    /// Plan `items` under `options` (an item's own `bound` overrides
+    /// the options' one). Unchanged entries are replayed here; the dirty
+    /// and new ones are handed back, in input order, for the caller to
+    /// analyse under the same options.
+    pub fn plan(
+        baseline: &'a BaselineManifest,
+        options: &DetectorOptions,
+        items: impl IntoIterator<Item = BatchItem>,
+    ) -> (IncrementalGate<'a>, Vec<BatchItem>) {
+        let (start, mut entries, mut dirty) = (Instant::now(), Vec::new(), Vec::new());
+        for item in items {
+            let bound = item.bound.unwrap_or(options.explorer.spec_bound);
+            let blocks = block_hashes(&item.program);
+            let fingerprint =
+                entry_fingerprint(&blocks, config_tag(options, bound, &item.symbolic));
+            let plan = plan_entry(baseline, &item.name, fingerprint, &blocks);
+            let old = baseline.get(&item.name);
+            match (plan, old) {
+                (EntryPlan::Unchanged, Some(old)) => {
+                    if sct_telemetry::enabled() {
+                        sct_telemetry::counter(sct_telemetry::names::INCR_REUSE_TOTAL).inc();
+                    }
+                    entries.push(Planned::Replayed(old));
+                }
+                _ => {
+                    let name = item.name.clone();
+                    entries.push(Planned::Fresh { name, plan, fingerprint, blocks, old });
+                    dirty.push(item);
+                }
+            }
         }
-        for o in self.regressions() {
-            writeln!(
-                f,
-                "REGRESSION: {} flipped {} -> {}",
-                o.name,
-                o.flip.expect("regressed implies a flip"),
-                o.verdict,
-            )?;
+        (IncrementalGate { start, entries }, dirty)
+    }
+
+    /// The report: outcomes in input order, the replay and exploration
+    /// counts, and the refreshed manifest. `results` holds one result
+    /// per item [`IncrementalGate::plan`] handed back, in that order:
+    /// its verdict, its stats, and whether it ran under a smaller state
+    /// budget than the options fingerprinted. An item without a result
+    /// is left out.
+    pub fn finish(
+        self,
+        results: impl IntoIterator<Item = (Verdict, ExploreStats, bool)>,
+    ) -> IncrementalReport {
+        let mut results = results.into_iter();
+        let mut report = IncrementalReport {
+            outcomes: Vec::with_capacity(self.entries.len()),
+            reused: 0,
+            reanalyzed: 0,
+            states_explored: 0,
+            states_skipped: 0,
+            manifest: BaselineManifest::empty(),
+            wall: Default::default(),
+        };
+        for entry in self.entries {
+            let (outcome, record) = match entry {
+                Planned::Replayed(old) => {
+                    report.reused += 1;
+                    report.states_skipped += old.states;
+                    let outcome = IncrementalOutcome {
+                        name: old.name.clone(),
+                        plan: EntryPlan::Unchanged,
+                        verdict: old.verdict,
+                        line: old.line.clone(),
+                        states: 0,
+                        flip: None,
+                        unrecorded: None,
+                    };
+                    (outcome, Some(old.clone()))
+                }
+                Planned::Fresh { name, plan, fingerprint, blocks, old } => {
+                    let Some((verdict, stats, clamped)) = results.next() else {
+                        continue;
+                    };
+                    if sct_telemetry::enabled() {
+                        sct_telemetry::counter(sct_telemetry::names::INCR_REANALYZED_TOTAL).inc();
+                    }
+                    report.reanalyzed += 1;
+                    report.states_explored += stats.states;
+                    let line = crate::fleet::report_line(
+                        &name,
+                        verdict,
+                        stats.states,
+                        stats.schedules,
+                        stats.strategy,
+                        stats.truncated,
+                    );
+                    let unrecorded = if clamped {
+                        Some("state budget clamped by the daemon")
+                    } else {
+                        stats.deadline_exceeded.then_some("cut short by its deadline")
+                    };
+                    let record = match unrecorded {
+                        Some(_) => old.cloned(),
+                        None => Some(BaselineEntry {
+                            name: name.clone(),
+                            fingerprint,
+                            blocks,
+                            verdict,
+                            line: line.clone(),
+                            states: stats.states,
+                            schedules: stats.schedules,
+                            strategy: stats.strategy.to_string(),
+                            truncated: stats.truncated,
+                        }),
+                    };
+                    let flip = old
+                        .map(|e| e.verdict)
+                        .filter(|o| std::mem::discriminant(o) != std::mem::discriminant(&verdict));
+                    let states = stats.states;
+                    let outcome =
+                        IncrementalOutcome { name, plan, verdict, line, states, flip, unrecorded };
+                    (outcome, record)
+                }
+            };
+            if let Some(record) = record {
+                report.manifest.upsert(record);
+            }
+            report.outcomes.push(outcome);
         }
-        Ok(())
+        report.wall = self.start.elapsed();
+        report
     }
 }
 
@@ -776,6 +911,7 @@ out:
             line: String::new(),
             states: 5,
             flip: Some(Verdict::Secure),
+            unrecorded: None,
         };
         assert!(insecure.regressed());
         let fixed = IncrementalOutcome {

@@ -10,9 +10,9 @@
 //! ```
 //!
 //! The `submitted` record embeds the job's **complete wire submit
-//! line** (the same bytes a client sent, including any baseline
-//! object), so replay needs no second serialization format and
-//! inherits the wire protocol's forward/backward tolerance. `started`
+//! line** (the client's request re-encoded by [`Request::to_line`]), so
+//! replay needs no second serialization format and inherits the wire
+//! protocol's forward/backward tolerance. `started`
 //! marks the job as having begun execution — a journal whose last
 //! word on a job is `started` identifies a run the process died
 //! under. `finished` retires the record whatever the terminal status
@@ -40,7 +40,7 @@
 //! torn-tail path.
 
 use crate::protocol::{Json, ProtocolError, Request};
-use crate::service::{JobBaseline, JobSpec};
+use crate::service::JobSpec;
 use std::collections::BTreeMap;
 use std::fs::{File, OpenOptions};
 use std::io::{self, BufRead, BufReader, Write};
@@ -60,9 +60,6 @@ pub struct ReplayJob {
     /// The full job spec (mode, bound, strategy, threads, budget,
     /// deadline, symbolic registers).
     pub spec: JobSpec,
-    /// Baseline for diff-aware submissions, when the original carried
-    /// one.
-    pub baseline: Option<JobBaseline>,
     /// `true` when the previous daemon died *while running* this job
     /// (a `started` record with no `finished`); `false` when it died
     /// with the job still queued.
@@ -146,7 +143,7 @@ impl Journal {
     }
 
     /// Record a submission: `id` plus the job's complete wire submit
-    /// line (exactly what [`Request::Submit`]/`SubmitDiff` encode to).
+    /// line (exactly what [`Request::Submit`] encodes to).
     pub fn submitted(&mut self, id: u64, submit_line: &str) -> io::Result<()> {
         self.append(Json::Obj(vec![
             ("ev".into(), Json::Str("submitted".into())),
@@ -211,20 +208,6 @@ fn parse_record(line: &str) -> Result<Record, ProtocolError> {
                     name,
                     source,
                     spec,
-                    baseline: None,
-                    interrupted: false,
-                }))),
-                Request::SubmitDiff {
-                    name,
-                    source,
-                    spec,
-                    baseline,
-                } => Ok(Record::Submitted(Box::new(ReplayJob {
-                    old_id: id,
-                    name,
-                    source,
-                    spec,
-                    baseline: Some(baseline),
                     interrupted: false,
                 }))),
                 _ => Err(ProtocolError::new("journal line is not a submit")),
@@ -314,34 +297,5 @@ mod tests {
         let path = std::env::temp_dir().join("sct-journal-definitely-missing.journal");
         let _ = std::fs::remove_file(&path);
         assert!(Journal::replay(&path).unwrap().is_empty());
-    }
-
-    #[test]
-    fn baseline_submissions_round_trip() {
-        use crate::report::Verdict;
-        let dir = std::env::temp_dir().join(format!("sct-journal-base-{}", std::process::id()));
-        let path = dir.join("base.journal");
-        let line = Request::SubmitDiff {
-            name: "gate".into(),
-            source: ".entry L1\nL1:\n    ret\n".into(),
-            spec: spec(),
-            baseline: JobBaseline {
-                fingerprint: 77,
-                verdict: Verdict::Secure,
-                states: 9,
-                schedules: 2,
-                strategy: "bfs".into(),
-                truncated: false,
-            },
-        }
-        .to_line();
-        let mut j = Journal::create(&path).unwrap();
-        j.submitted(5, &line).unwrap();
-        drop(j);
-        let replay = Journal::replay(&path).unwrap();
-        assert_eq!(replay.len(), 1);
-        let b = replay[0].baseline.as_ref().expect("baseline survives");
-        assert_eq!(b.fingerprint, 77);
-        let _ = std::fs::remove_dir_all(&dir);
     }
 }

@@ -170,18 +170,24 @@
 //!
 //! Exit 0 promotes the refreshed baseline; exit 3 means an entry
 //! **flipped to insecure** (new insecure entries don't flip — there is
-//! nothing to regress from); exit 2 is an operational error. With
-//! `--connect` the same gate runs against a daemon:
-//! [`Request::SubmitDiff`] ships each unchanged entry's
-//! [`JobBaseline`] alongside the normal submission (on the wire it is
-//! a `submit` line with a `baseline` object, so pre-diff daemons just
-//! run the job in full), and the daemon recomputes the fingerprint
-//! from its *resolved* options before replaying — a stale baseline
-//! costs a re-analysis, never a wrong verdict. Replays surface as
-//! `incr_reuse_total` / `incr_reanalyzed_total` counters, pruning as
-//! `incr_prune_nodes`; `pitchfork metrics --watch N` re-scrapes every
-//! N seconds and renders only what moved
-//! ([`sct_telemetry::render_delta`]).
+//! nothing to regress from); exit 2 is an operational error.
+//!
+//! With `--connect SOCK` the same [`IncrementalGate`] runs with a daemon
+//! as its analyser: planning and replay stay in the gate's process, and
+//! each dirty or new entry goes to the daemon as a plain
+//! [`Request::Submit`] whose spec sets the bound, strategy and state
+//! budget explicitly, so the daemon runs exactly the analysis the
+//! fingerprint names, whatever its own defaults. Stdout, exit codes and
+//! the refreshed manifest equal a local gate's; the warm memo stays
+//! with the daemon, so the remote gate leaves `baseline.cache` alone.
+//! Either way, a result that is not the fingerprinted analysis — cut
+//! short by `--deadline-ms`, or run under a budget the daemon clamped —
+//! is printed but not recorded: the entry's previous record carries
+//! forward, and a stderr line names the entry. The gate's own process
+//! counts replays and re-analyses in `incr_reuse_total` /
+//! `incr_reanalyzed_total` and pruning in `incr_prune_nodes`;
+//! `pitchfork metrics --watch N` re-scrapes a daemon every N seconds
+//! and renders only what moved ([`sct_telemetry::render_delta`]).
 //!
 //! # Parallel exploration
 //!
@@ -348,7 +354,9 @@
 //!   [`Verdict::Insecure`] if a violation was already found, otherwise
 //!   [`Verdict::Unknown`] — **never** a false `Secure`. The deadline is
 //!   deliberately *excluded* from the incremental fingerprint: it
-//!   bounds how long an answer may take, not what the answer is.
+//!   bounds how long an answer may take, not what the answer is. So
+//!   `ci-gate` prints a result the deadline cut short but keeps the
+//!   entry's previous baseline record.
 //! * **Crash-safe job journal.** `--serve --journal PATH` appends a
 //!   write-ahead record per lifecycle edge (`submitted` with the full
 //!   wire submit line, `started`, `finished`) as line-JSON. On restart
@@ -435,7 +443,8 @@ pub use client::{Client, ClientError, JobView};
 pub use detector::DetectorOptions;
 pub use explorer::{Explorer, ExplorerOptions};
 pub use incremental::{
-    BaselineEntry, BaselineManifest, EntryPlan, IncrementalOutcome, IncrementalReport,
+    BaselineEntry, BaselineManifest, EntryPlan, IncrementalGate, IncrementalOutcome,
+    IncrementalReport,
 };
 pub use machine::SymMachine;
 pub use observe::{BoxObserver, Event, EventLog, Observer, OwnedEvent};
@@ -443,7 +452,7 @@ pub use protocol::{ProtocolError, Request, Response, WireViolation};
 pub use report::{ExploreStats, Report, Verdict, Violation};
 pub use server::Server;
 pub use service::{
-    FinishedJob, Job, JobBaseline, JobId, JobMode, JobRecord, JobSpec, JobStatus, PreparedJob,
+    FinishedJob, Job, JobId, JobMode, JobRecord, JobSpec, JobStatus, PreparedJob,
     RetirePolicy, ServiceMonitor, ServiceStats, SessionService,
 };
 pub use session::{AnalysisSession, SessionBuilder};

@@ -28,7 +28,8 @@
 //!
 //! # incremental CI gate: replay unchanged entries, re-analyze the diff
 //! pitchfork ci-gate --baseline DIR [--connect SOCK] [--mode M] [--bound N]
-//!           [--strategy NAME] [--symbolic ra,rb] [--max-states N] FILE...
+//!           [--strategy NAME] [--symbolic ra,rb] [--max-states N]
+//!           [--deadline-ms N] FILE...
 //!
 //! # fleet mode: shard a corpus across workers, merge verdicts
 //! pitchfork coordinate --worker ADDR [--worker ADDR ...] [--token T]
@@ -44,9 +45,16 @@
 
 use pitchfork::client::Client;
 use pitchfork::observe::OwnedEvent;
-use pitchfork::service::{JobId, JobMode, JobSpec, RetirePolicy, ServiceStats, SessionService};
-use pitchfork::{AnalysisSession, SessionBuilder, StrategyKind};
+use pitchfork::service::{
+    JobId, JobMode, JobSpec, JobStatus, RetirePolicy, ServiceStats, SessionService,
+};
+use pitchfork::{
+    AnalysisSession, BaselineManifest, BatchItem, DetectorOptions, EntryPlan, IncrementalGate,
+    IncrementalReport, SessionBuilder, StrategyKind,
+};
 use sct_core::Reg;
+use std::collections::BTreeMap;
+use std::path::Path;
 use std::process::ExitCode;
 use std::time::Duration;
 
@@ -115,7 +123,8 @@ fn usage() -> ! {
     eprintln!("with zero exploration; dirty or new entries re-run against the baseline's");
     eprintln!("warm-start snapshot. Exit 0 promotes the refreshed baseline, exit 3 means");
     eprintln!("an entry flipped to insecure (the baseline is left untouched). With");
-    eprintln!("--connect the diff runs daemon-side via baseline-carrying submits.");
+    eprintln!("--connect the dirty and new entries run on the daemon, submitted with");
+    eprintln!("every fingerprinted option explicit: same output, same manifest.");
     eprintln!();
     eprintln!("Daemon mode (--serve) keeps one session resident: submissions share the");
     eprintln!("hash-consed arena and solver memo across clients, and the epoch-retire");
@@ -232,40 +241,51 @@ fn build_session(
         }
         b
     };
-    if let Some(path) = cache {
-        match builder().cache(path).build() {
-            Ok(session) => {
-                match session.cache_load() {
-                    Some(stats) => println!(
-                        "cache: warm start from {path}: {} snapshot nodes ({} new, {} shared), {} verdicts",
-                        stats.snapshot_nodes, stats.added, stats.preexisting, stats.verdicts_imported,
-                    ),
-                    None => println!("cache: cold start ({path} not found)"),
-                }
-                return session;
-            }
-            Err(e) => {
-                // A corrupt snapshot degrades to a cold start — never a
-                // wrong verdict, never an abort. Quarantine the bad file
-                // (rename to PATH.bad) so the save at exit writes a
-                // fresh snapshot instead of fighting the corruption, and
-                // the operator keeps the evidence.
-                match sct_cache::quarantine(std::path::Path::new(path)) {
-                    Some(bad) => eprintln!(
-                        "cache: cold start ({path}: {e}; corrupt snapshot quarantined to {})",
-                        bad.display()
-                    ),
-                    None => eprintln!("cache: cold start ({path}: {e})"),
-                }
-                let mut session = builder()
-                    .build()
-                    .expect("cache-less session build cannot fail");
-                session.attach_cache(path);
-                return session;
-            }
-        }
+    let Some(path) = cache else {
+        return builder().build().expect("cache-less session build cannot fail");
+    };
+    let (session, loaded) = open_cached(builder, Path::new(path), "cache:");
+    match session.cache_load() {
+        Some(stats) => println!(
+            "cache: warm start from {path}: {} snapshot nodes ({} new, {} shared), {} verdicts",
+            stats.snapshot_nodes, stats.added, stats.preexisting, stats.verdicts_imported,
+        ),
+        None if loaded => println!("cache: cold start ({path} not found)"),
+        None => {}
     }
-    builder().build().expect("cache-less session build cannot fail")
+    session
+}
+
+/// Build `builder()`'s session warm-started from the snapshot at
+/// `path`, and whether the snapshot loaded (a missing file loads as a
+/// cold start). A snapshot that fails to load degrades to a cold start
+/// — never a wrong verdict, never an abort: the bad file is quarantined
+/// to `PATH.bad` (so the next save writes a fresh snapshot instead of
+/// fighting the corruption, and the operator keeps the evidence), a
+/// warning headed by `prefix` goes to stderr, and the cold session
+/// keeps `path` attached.
+fn open_cached(
+    builder: impl Fn() -> SessionBuilder,
+    path: &Path,
+    prefix: &str,
+) -> (AnalysisSession, bool) {
+    let e = match builder().cache(path).build() {
+        Ok(session) => return (session, true),
+        Err(e) => e,
+    };
+    match sct_cache::quarantine(path) {
+        Some(bad) => eprintln!(
+            "{prefix} cold start ({}: {e}; corrupt snapshot quarantined to {})",
+            path.display(),
+            bad.display()
+        ),
+        None => eprintln!("{prefix} cold start ({}: {e})", path.display()),
+    }
+    let mut session = builder()
+        .build()
+        .expect("cache-less session build cannot fail");
+    session.attach_cache(path);
+    (session, false)
 }
 
 /// Open a `--trace PATH` JSONL writer with a manifest-style provenance
@@ -1013,16 +1033,16 @@ fn run_metrics(args: Vec<String>) -> ExitCode {
 // ----- the incremental CI gate --------------------------------------------
 
 /// `pitchfork ci-gate --baseline DIR FILE...`: diff-aware re-analysis
-/// against a persisted baseline. Unchanged entries (by per-entry
-/// fingerprint) replay their recorded verdict lines byte-identically
-/// with zero exploration; dirty or new entries are re-analyzed against
-/// the baseline's warm-start snapshot. Exit 0 promotes the refreshed
-/// baseline; a secure→insecure flip exits 3 and leaves the baseline
-/// untouched. With `--connect` the diff runs daemon-side (each entry
-/// ships as a baseline-carrying submit the daemon can replay).
+/// against a persisted baseline, through [`IncrementalGate`].
+/// Unchanged entries (by per-entry fingerprint) replay their recorded
+/// verdict lines byte-identically with zero exploration; dirty or new
+/// entries are re-analyzed — here against the baseline's warm-start
+/// snapshot, or with `--connect` by a daemon (see [`connect_gate`]).
+/// Stdout, exit codes and the refreshed manifest are the same either
+/// way. Exit 0 promotes the refreshed baseline; a secure→insecure flip
+/// exits 3 and leaves the baseline untouched.
 fn run_ci_gate(args: Vec<String>) -> ExitCode {
     use pitchfork::incremental::save_baseline;
-    use pitchfork::BaselineManifest;
     let args = parse_client_args(args);
     let Some(dir) = args.baseline.as_deref() else {
         eprintln!("ci-gate: missing --baseline DIR");
@@ -1062,12 +1082,8 @@ fn run_ci_gate(args: Vec<String>) -> ExitCode {
             BaselineManifest::empty()
         }
     };
-    let bound = args.bound.unwrap_or(20);
-    if args.connect.is_some() {
-        return run_ci_gate_remote(&args, &dir, &baseline, bound);
-    }
 
-    let mut options = args.mode.options(bound);
+    let mut options = args.mode.options(args.bound.unwrap_or(20));
     if let Some(s) = args.strategy {
         options.explorer.strategy = s;
     }
@@ -1077,32 +1093,17 @@ fn run_ci_gate(args: Vec<String>) -> ExitCode {
     if let Some(ms) = args.max_states {
         options.explorer.max_states = ms;
     }
-    // Warm-start the arena and verdict memo from the baseline's pruned
-    // snapshot; an unreadable snapshot degrades to a cold start.
-    let cache_path = dir.join(BaselineManifest::CACHE_NAME);
-    let mut session = match SessionBuilder::new().options(options).cache(&cache_path).build() {
-        Ok(s) => s,
-        Err(e) => {
-            match sct_cache::quarantine(&cache_path) {
-                Some(bad) => eprintln!(
-                    "ci-gate: cold start ({}: {e}; corrupt snapshot quarantined to {})",
-                    cache_path.display(),
-                    bad.display()
-                ),
-                None => eprintln!(
-                    "ci-gate: cold start ({}: {e})",
-                    cache_path.display()
-                ),
-            }
-            let mut s = SessionBuilder::new()
-                .options(options)
-                .build()
-                .expect("cache-less session build cannot fail");
-            s.attach_cache(&cache_path);
-            s
-        }
-    };
+    options.explorer.deadline_ms = args.deadline_ms;
+    // Locally, warm-start the arena and verdict memo from the
+    // baseline's pruned snapshot; an unreadable snapshot degrades to a
+    // cold start.
+    let session = args.connect.is_none().then(|| {
+        let builder = || SessionBuilder::new().options(options);
+        open_cached(builder, &dir.join(BaselineManifest::CACHE_NAME), "ci-gate:").0
+    });
     let mut items = Vec::new();
+    // Source text is kept only for a daemon to analyse.
+    let mut sources = BTreeMap::new();
     for file in &args.files {
         let src = match std::fs::read_to_string(file) {
             Ok(s) => s,
@@ -1119,16 +1120,32 @@ fn run_ci_gate(args: Vec<String>) -> ExitCode {
             }
         };
         items.push(
-            pitchfork::BatchItem::new(file.clone(), asm.program, asm.config)
+            BatchItem::new(file.clone(), asm.program, asm.config)
                 .symbolize(args.symbolic.iter().copied()),
         );
+        if session.is_none() {
+            sources.insert(file.clone(), src);
+        }
     }
-    let report = session.analyze_incremental(items, &baseline);
+    let report = match session {
+        Some(mut session) => session.analyze_incremental(items, &baseline),
+        None => match connect_gate(&args, &options, items, &sources, &baseline) {
+            Ok(report) => report,
+            Err(code) => return code,
+        },
+    };
     // Verdict lines to stdout — byte-identical to a batch run over the
     // same corpus (and to the baseline's own lines for replayed
     // entries); bookkeeping to stderr so scripts can diff stdout.
     for o in &report.outcomes {
         outln!("{}", o.line);
+        if let Some(why) = o.unrecorded {
+            let record = match o.plan {
+                EntryPlan::New => "not recorded in the baseline",
+                _ => "previous baseline record kept",
+            };
+            eprintln!("ci-gate: {}: {why}; {record}", o.name);
+        }
     }
     eprintln!(
         "ci-gate: {} entries — {} replayed, {} re-analyzed; {} states explored, {} skipped ({:.1}%) in {:.1?}",
@@ -1140,30 +1157,28 @@ fn run_ci_gate(args: Vec<String>) -> ExitCode {
         100.0 * report.skip_ratio(),
         report.wall,
     );
-    let regressed: Vec<String> = report
-        .regressions()
-        .iter()
-        .map(|o| {
-            format!(
-                "REGRESSION: {} flipped {} -> {}",
-                o.name,
-                o.flip.expect("regressed implies a flip"),
-                o.verdict,
-            )
-        })
-        .collect();
-    if !regressed.is_empty() {
-        for line in &regressed {
-            eprintln!("{line}");
-        }
+    let regressions = report.regressions();
+    for o in &regressions {
+        let old = o.flip.expect("regressed implies a flip");
+        eprintln!("REGRESSION: {} flipped {old} -> {}", o.name, o.verdict);
+    }
+    if !regressions.is_empty() {
         eprintln!(
             "ci-gate: FAIL — {} regression(s); baseline not promoted",
-            regressed.len()
+            regressions.len()
         );
         return ExitCode::from(3);
     }
-    match save_baseline(&dir, &report.manifest) {
-        Ok(stats) => eprintln!("ci-gate: PASS — baseline promoted at {} ({stats})", dir.display()),
+    // Under --connect promote the manifest only: the warm memo lives
+    // daemon-side, and overwriting baseline.cache with this process's
+    // (empty) memo would cost the next local run its warm start.
+    let promoted = if args.connect.is_some() {
+        report.manifest.save_dir(&dir).map(|()| String::new())
+    } else {
+        save_baseline(&dir, &report.manifest).map(|stats| format!(" ({stats})"))
+    };
+    match promoted {
+        Ok(stats) => eprintln!("ci-gate: PASS — baseline promoted at {}{stats}", dir.display()),
         Err(e) => {
             eprintln!("ci-gate: baseline save failed ({}: {e})", dir.display());
             return ExitCode::from(2);
@@ -1172,164 +1187,57 @@ fn run_ci_gate(args: Vec<String>) -> ExitCode {
     ExitCode::SUCCESS
 }
 
-/// The daemon-side gate: each entry ships as a baseline-carrying
-/// submit, so an unchanged fingerprint is replayed by the daemon
-/// without exploring (and counted in its `incr_reuse_total`). The
-/// client recomputes the same fingerprints from explicit flags; start
-/// the daemon with matching defaults (bound, strategy, budgets) or
-/// pass them here explicitly — a disagreement only costs a full
-/// re-analysis, never a wrong verdict.
-fn run_ci_gate_remote(
+/// The `--connect` analyser of [`run_ci_gate`]: plan and replay here,
+/// and submit each dirty or new entry to the daemon as a plain job
+/// whose spec sets every fingerprinted option explicitly (bound,
+/// strategy, state budget), so the daemon runs exactly the analysis
+/// the fingerprint names whatever its own defaults. A budget the
+/// daemon clamps is reported to the gate, which then keeps the entry's
+/// previous record.
+fn connect_gate(
     args: &ClientArgs,
-    dir: &std::path::Path,
-    baseline: &pitchfork::BaselineManifest,
-    bound: usize,
-) -> ExitCode {
-    use pitchfork::incremental::{block_hashes, config_tag, entry_fingerprint};
-    use pitchfork::{BaselineEntry, JobBaseline};
-    let mut options = args.mode.options(bound);
-    if let Some(s) = args.strategy {
-        options.explorer.strategy = s;
-    }
-    if args.threads > 0 {
-        options.explorer.threads = args.threads;
-    }
-    if let Some(ms) = args.max_states {
-        options.explorer.max_states = ms;
-    }
-    let tag = config_tag(&options, bound, &args.symbolic);
+    options: &DetectorOptions,
+    items: Vec<BatchItem>,
+    sources: &BTreeMap<String, String>,
+    baseline: &BaselineManifest,
+) -> Result<IncrementalReport, ExitCode> {
     let spec = JobSpec {
         mode: args.mode,
-        bound: args.bound,
-        strategy: args.strategy,
+        bound: Some(options.explorer.spec_bound),
+        strategy: Some(options.explorer.strategy),
         threads: args.threads,
         symbolic: args.symbolic.clone(),
-        max_states: args.max_states,
-        deadline_ms: args.deadline_ms,
+        max_states: Some(options.explorer.max_states),
+        deadline_ms: options.explorer.deadline_ms,
     };
+    let (gate, dirty) = IncrementalGate::plan(baseline, options, items);
     let mut client = connect(args);
+    let failed = |file: &str, e: &dyn std::fmt::Display| {
+        eprintln!("{file}: {e}");
+        ExitCode::from(2)
+    };
     let mut jobs = Vec::new();
-    let mut replay_candidates = 0usize;
-    for file in &args.files {
-        let src = match std::fs::read_to_string(file) {
-            Ok(s) => s,
-            Err(e) => {
-                eprintln!("{file}: {e}");
-                return ExitCode::from(2);
+    for item in dirty {
+        let source = sources[&item.name].clone();
+        let submitted = client.submit_source(item.name.clone(), source, spec.clone());
+        jobs.push((item.name.clone(), submitted.map_err(|e| failed(&item.name, &e))?));
+    }
+    let mut results = Vec::with_capacity(jobs.len());
+    for (file, id) in jobs {
+        let view = client
+            .wait(id, Duration::from_secs(600))
+            .map_err(|e| failed(&file, &e))?;
+        match (view.status, view.verdict, view.stats) {
+            (JobStatus::Done | JobStatus::TimedOut, Some(verdict), Some(stats)) => {
+                results.push((verdict, stats, view.clamped_states.is_some()))
             }
-        };
-        let asm = match sct_asm::assemble(&src) {
-            Ok(a) => a,
-            Err(e) => {
-                eprintln!("{file}: {e}");
-                return ExitCode::from(2);
-            }
-        };
-        let blocks = block_hashes(&asm.program);
-        let fp = entry_fingerprint(&blocks, tag);
-        let submit = match baseline.get(file) {
-            Some(old) if old.fingerprint == fp => {
-                replay_candidates += 1;
-                client.submit_source_diff(
-                    file.clone(),
-                    src,
-                    spec.clone(),
-                    JobBaseline {
-                        fingerprint: fp,
-                        verdict: old.verdict,
-                        states: old.states,
-                        schedules: old.schedules,
-                        strategy: old.strategy.clone(),
-                        truncated: old.truncated,
-                    },
-                )
-            }
-            _ => client.submit_source(file.clone(), src, spec.clone()),
-        };
-        match submit {
-            Ok(id) => jobs.push((file.clone(), id, fp, blocks)),
-            Err(e) => {
-                eprintln!("{file}: {e}");
-                return ExitCode::from(2);
+            (status, ..) => {
+                let why = view.error.map(|e| format!(" ({e})")).unwrap_or_default();
+                return Err(failed(&file, &format!("{status}{why}")));
             }
         }
     }
-    let mut fresh = baseline.clone();
-    let mut regressed = Vec::new();
-    for (file, id, fp, blocks) in jobs {
-        let view = match client.wait(id, Duration::from_secs(600)) {
-            Ok(v) => v,
-            Err(e) => {
-                eprintln!("{file}: {e}");
-                return ExitCode::from(2);
-            }
-        };
-        let (Some(verdict), Some(stats)) = (view.verdict, view.stats) else {
-            eprintln!(
-                "{file}: {}{}",
-                view.status,
-                view.error
-                    .as_deref()
-                    .map(|e| format!(" ({e})"))
-                    .unwrap_or_default()
-            );
-            return ExitCode::from(2);
-        };
-        let line = report_line(
-            &file,
-            verdict,
-            stats.states,
-            stats.schedules,
-            stats.strategy,
-            stats.truncated,
-        );
-        outln!("{line}");
-        if verdict.is_insecure() {
-            if let Some(old) = baseline.get(&file) {
-                if !old.verdict.is_insecure() {
-                    regressed.push(format!(
-                        "REGRESSION: {file} flipped {} -> {verdict}",
-                        old.verdict
-                    ));
-                }
-            }
-        }
-        fresh.upsert(BaselineEntry {
-            name: file,
-            fingerprint: fp,
-            blocks,
-            verdict,
-            line,
-            states: stats.states,
-            schedules: stats.schedules,
-            strategy: stats.strategy.to_string(),
-            truncated: stats.truncated,
-        });
-    }
-    eprintln!(
-        "ci-gate: {} entries — {replay_candidates} replay candidates shipped with baselines",
-        args.files.len(),
-    );
-    if !regressed.is_empty() {
-        for line in &regressed {
-            eprintln!("{line}");
-        }
-        eprintln!(
-            "ci-gate: FAIL — {} regression(s); baseline not promoted",
-            regressed.len()
-        );
-        return ExitCode::from(3);
-    }
-    // Promote the manifest only: the warm memo lives daemon-side in
-    // remote mode, and overwriting baseline.cache with this (empty)
-    // client process's memo would cost the next local run its warm
-    // start.
-    if let Err(e) = fresh.save_dir(dir) {
-        eprintln!("ci-gate: baseline save failed ({}: {e})", dir.display());
-        return ExitCode::from(2);
-    }
-    eprintln!("ci-gate: PASS — baseline promoted at {}", dir.display());
-    ExitCode::SUCCESS
+    Ok(gate.finish(results))
 }
 
 // ----- fleet mode ---------------------------------------------------------

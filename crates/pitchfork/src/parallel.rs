@@ -53,11 +53,14 @@
 //! same witness **set**, and the same state/step/dedup counts as the
 //! serial engine — the equivalence suite pins this over the litmus
 //! corpus and the Table 2 case studies for every strategy × thread
-//! count. Merged reports sort witnesses canonically, so parallel
-//! *output* is reproducible run-to-run as well. What may differ from
-//! serial mode: witness order before the sort (serial keeps discovery
-//! order), the `first_witness_*` metrics (they record whichever
-//! witness a worker reached first), and event interleaving. Under
+//! count. Merged reports sort witnesses by a key that includes the
+//! schedule, and the schedule prefix naming a witness reachable along
+//! several schedules is whichever a worker reached first, so two
+//! parallel runs agree on the witness (pc, observation) multiset but
+//! not always on its order. What may differ from serial mode: witness
+//! order (serial keeps discovery order), those schedule prefixes, the
+//! `first_witness_*` metrics (they record whichever witness a worker
+//! reached first), and event interleaving. Under
 //! truncation (`max_states` / `max_violations`) the *prefix* of states
 //! explored is timing-dependent, exactly as it is order-dependent
 //! across strategies. [`crate::ExplorerOptions::steal_seed`] rotates

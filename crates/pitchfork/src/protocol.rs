@@ -29,7 +29,7 @@
 
 use crate::observe::OwnedEvent;
 use crate::report::{ExploreStats, Verdict, Violation};
-use crate::service::{JobBaseline, JobSpec, JobStatus, ServiceStats};
+use crate::service::{JobSpec, JobStatus, ServiceStats};
 use crate::strategy::StrategyKind;
 use sct_core::Reg;
 use sct_telemetry::{MetricKind, MetricSnapshot};
@@ -520,23 +520,6 @@ pub enum Request {
         /// Analysis options.
         spec: JobSpec,
     },
-    /// Submit `.sasm` source together with a baseline record from a
-    /// previous run (the incremental CI-gate path): when the daemon's
-    /// recomputed fingerprint matches, it replays the baseline verdict
-    /// without exploring.
-    ///
-    /// On the wire this is a `submit` line with an extra `baseline`
-    /// object.
-    SubmitDiff {
-        /// Display name for the job.
-        name: String,
-        /// The assembly source text.
-        source: String,
-        /// Analysis options.
-        spec: JobSpec,
-        /// The prior run's fingerprint + verdict + exploration stats.
-        baseline: JobBaseline,
-    },
     /// Cancel a job: a queued job is retired unrun; a running job's
     /// explorer observes the cooperative flag at its next state pop and
     /// stops. Either way the job ends as [`JobStatus::Cancelled`].
@@ -606,16 +589,6 @@ impl Request {
             Request::Submit { name, source, spec } => {
                 Json::Obj(submit_fields(name, source, spec))
             }
-            Request::SubmitDiff {
-                name,
-                source,
-                spec,
-                baseline,
-            } => {
-                let mut fields = submit_fields(name, source, spec);
-                fields.push(("baseline".into(), baseline_to_json(baseline)));
-                Json::Obj(fields)
-            }
             Request::Status { id } => Json::Obj(vec![
                 ("req".into(), Json::Str("status".into())),
                 ("id".into(), Json::Int(*id as i128)),
@@ -673,30 +646,26 @@ impl Request {
                         })?);
                     }
                 }
-                let name = json.str_field("name")?.to_string();
-                let source = json.str_field("source")?.to_string();
-                let spec = JobSpec {
-                    mode,
-                    bound: json.opt_u64_field("bound")?.map(|b| b as usize),
-                    strategy,
-                    // Absent (0) inherits the daemon session's
-                    // parallelism.
-                    threads: json.opt_u64_field("threads")?.unwrap_or(0) as usize,
-                    // Absent inherits the daemon's state budget.
-                    max_states: json.opt_u64_field("max_states")?.map(|n| n as usize),
-                    // Absent means no cut-off.
-                    deadline_ms: json.opt_u64_field("deadline_ms")?,
-                    symbolic,
-                };
-                match json.get("baseline") {
-                    Some(b) => Ok(Request::SubmitDiff {
-                        name,
-                        source,
-                        spec,
-                        baseline: baseline_from_json(b)?,
-                    }),
-                    None => Ok(Request::Submit { name, source, spec }),
-                }
+                // Unknown fields are ignored, as everywhere on the wire:
+                // a `baseline` object from an older client or journal
+                // parses as a plain submit and runs in full.
+                Ok(Request::Submit {
+                    name: json.str_field("name")?.to_string(),
+                    source: json.str_field("source")?.to_string(),
+                    spec: JobSpec {
+                        mode,
+                        bound: json.opt_u64_field("bound")?.map(|b| b as usize),
+                        strategy,
+                        // Absent (0) inherits the daemon session's
+                        // parallelism.
+                        threads: json.opt_u64_field("threads")?.unwrap_or(0) as usize,
+                        // Absent inherits the daemon's state budget.
+                        max_states: json.opt_u64_field("max_states")?.map(|n| n as usize),
+                        // Absent means no cut-off.
+                        deadline_ms: json.opt_u64_field("deadline_ms")?,
+                        symbolic,
+                    },
+                })
             }
             "status" => Ok(Request::Status {
                 id: json.u64_field("id")?,
@@ -744,34 +713,6 @@ fn submit_fields(name: &str, source: &str, spec: &JobSpec) -> Vec<(String, Json)
         ));
     }
     fields
-}
-
-fn baseline_to_json(b: &JobBaseline) -> Json {
-    Json::Obj(vec![
-        ("fp".into(), Json::Int(b.fingerprint as i128)),
-        ("verdict".into(), verdict_to_json(&b.verdict)),
-        ("states".into(), Json::Int(b.states as i128)),
-        ("schedules".into(), Json::Int(b.schedules as i128)),
-        ("strategy".into(), Json::Str(b.strategy.clone())),
-        ("truncated".into(), Json::Bool(b.truncated)),
-    ])
-}
-
-// The baseline object itself parses strictly: a submit carrying a
-// malformed baseline is rejected rather than silently run in full, so
-// client-side encoding bugs surface immediately.
-fn baseline_from_json(json: &Json) -> Result<JobBaseline, ProtocolError> {
-    let verdict = json
-        .get("verdict")
-        .ok_or_else(|| ProtocolError::field("baseline.verdict", "a verdict object"))?;
-    Ok(JobBaseline {
-        fingerprint: json.u64_field("fp")?,
-        verdict: verdict_from_json(verdict)?,
-        states: json.u64_field("states")? as usize,
-        schedules: json.u64_field("schedules")? as usize,
-        strategy: json.str_field("strategy")?.to_string(),
-        truncated: json.bool_field("truncated")?,
-    })
 }
 
 impl JobSpec {
@@ -981,10 +922,9 @@ fn explore_stats_to_json(s: &ExploreStats) -> Json {
 }
 
 fn explore_stats_from_json(json: &Json) -> Result<ExploreStats, ProtocolError> {
-    // The strategy string must map back to a `&'static str`; names that
-    // are not a built-in strategy (a baseline replay reports its
-    // baseline's name, which may be anything) degrade to the default
-    // rather than erroring a whole verdict line away.
+    // The strategy string must map back to a `&'static str`; a name that
+    // is not a built-in strategy (one a newer daemon added) degrades to
+    // the default rather than erroring a whole verdict line away.
     let strategy = StrategyKind::parse(json.str_field("strategy")?)
         .map(StrategyKind::name)
         .unwrap_or("lifo");
@@ -1445,7 +1385,7 @@ mod tests {
             Request::Metrics,
             Request::Retire,
             Request::Shutdown,
-            Request::SubmitDiff {
+            Request::Submit {
                 name: "fig1".into(),
                 source: ".entry L1\nL1:\n    ra = add rb, 0x4\n".into(),
                 spec: JobSpec {
@@ -1457,14 +1397,6 @@ mod tests {
                     deadline_ms: None,
                     symbolic: vec![sct_core::reg::names::RA],
                 },
-                baseline: JobBaseline {
-                    fingerprint: u64::MAX - 5,
-                    verdict: Verdict::Insecure { witnesses: 2 },
-                    states: 412,
-                    schedules: 31,
-                    strategy: "bfs".into(),
-                    truncated: false,
-                },
             },
         ];
         for req in reqs {
@@ -1475,43 +1407,22 @@ mod tests {
     }
 
     #[test]
-    fn submit_diff_wire_form_is_a_submit_line() {
-        // The diff submit is a plain `submit` line plus a `baseline`
-        // object.
-        let req = Request::SubmitDiff {
-            name: "gate".into(),
-            source: ".entry L1\nL1:\n    ret\n".into(),
-            spec: JobSpec {
-                mode: JobMode::V1,
-                bound: None,
-                strategy: None,
-                threads: 0,
-                max_states: None,
-                deadline_ms: None,
-                symbolic: vec![],
-            },
-            baseline: JobBaseline {
-                fingerprint: 99,
-                verdict: Verdict::Secure,
-                states: 10,
-                schedules: 1,
-                strategy: "bfs".into(),
-                truncated: false,
-            },
-        };
-        let line = req.to_line();
-        assert!(line.contains("\"req\":\"submit\""), "{line}");
-        match Request::parse(&line).unwrap() {
-            Request::SubmitDiff { baseline, .. } => {
-                assert_eq!(baseline.fingerprint, 99);
-                assert_eq!(baseline.verdict, Verdict::Secure);
+    fn submit_with_a_baseline_object_parses_as_a_plain_submit() {
+        // Older clients and journals sent a `baseline` object with the
+        // submit; it is ignored and the job runs in full.
+        let line = concat!(
+            r#"{"req":"submit","name":"gate","source":".entry L1\nL1:\n    ret\n","mode":"v1","#,
+            r#""baseline":{"fp":99,"verdict":{"kind":"secure"},"states":10,"schedules":1,"#,
+            r#""strategy":"bfs","truncated":false}}"#,
+        );
+        assert_eq!(
+            Request::parse(line).unwrap(),
+            Request::Submit {
+                name: "gate".into(),
+                source: ".entry L1\nL1:\n    ret\n".into(),
+                spec: JobSpec::default(),
             }
-            other => panic!("expected SubmitDiff, got {other:?}"),
-        }
-        // A malformed baseline object is rejected outright rather than
-        // silently downgraded to a full run.
-        let bad = line.replace("\"fp\":99", "\"fp\":\"nope\"");
-        assert!(Request::parse(&bad).is_err());
+        );
     }
 
     #[test]

@@ -69,11 +69,6 @@ impl Verdict {
         matches!(self, Verdict::Insecure { .. })
     }
 
-    /// `true` for [`Verdict::Secure`] (exhaustive within the bound).
-    pub fn is_secure(&self) -> bool {
-        matches!(self, Verdict::Secure)
-    }
-
     /// Two verdicts agree when both flag, or both do not flag, a
     /// violation ([`Verdict::Unknown`] agrees with nothing — an
     /// inconclusive search is not evidence of security).

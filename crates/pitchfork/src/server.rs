@@ -169,13 +169,13 @@ impl Server {
                 let mut journal = Journal::create(path)?;
                 let replayed = replay.len() as u64;
                 for job in replay {
-                    let line = replay_submit_line(&job);
-                    let id = match job.baseline {
-                        Some(b) => {
-                            service.submit_source_with_baseline(job.name, &job.source, job.spec, b)
-                        }
-                        None => service.submit_source(job.name, &job.source, job.spec),
-                    };
+                    let line = Request::Submit {
+                        name: job.name.clone(),
+                        source: job.source.clone(),
+                        spec: job.spec.clone(),
+                    }
+                    .to_line();
+                    let id = service.submit_source(job.name, &job.source, job.spec);
                     eprintln!(
                         "journal: replaying job {} as {} ({})",
                         job.old_id,
@@ -251,26 +251,6 @@ impl Server {
         if let Endpoint::Unix(path) = &self.endpoint {
             let _ = std::fs::remove_file(path);
         }
-    }
-}
-
-/// Rebuild the wire submit line for a replayed job (what gets
-/// journaled under its fresh id).
-fn replay_submit_line(job: &crate::journal::ReplayJob) -> String {
-    match &job.baseline {
-        Some(b) => Request::SubmitDiff {
-            name: job.name.clone(),
-            source: job.source.clone(),
-            spec: job.spec.clone(),
-            baseline: b.clone(),
-        }
-        .to_line(),
-        None => Request::Submit {
-            name: job.name.clone(),
-            source: job.source.clone(),
-            spec: job.spec.clone(),
-        }
-        .to_line(),
     }
 }
 
@@ -369,11 +349,7 @@ fn verdicts_response(monitor: &ServiceMonitor, id: u64) -> Response {
         Some(record) => {
             let (verdict, stats, violations) = match &record.report {
                 Some(report) => (
-                    // A replayed job's synthesized report carries no
-                    // witnesses, so the record's replayed verdict — the
-                    // baseline's, witnesses and all — wins over the
-                    // report's recomputation.
-                    Some(record.replayed.unwrap_or_else(|| report.verdict())),
+                    Some(report.verdict()),
                     Some(report.stats),
                     report.violations.iter().map(WireViolation::from).collect(),
                 ),
@@ -498,42 +474,6 @@ fn handle_connection(stream: Stream, shared: &Arc<Shared>) -> std::io::Result<()
                 let id = {
                     let mut service = shared.lock();
                     service.submit_source(name, &source, spec)
-                };
-                if let Some(line) = journal_line {
-                    shared.journal_append(|j| j.submitted(id.as_u64(), &line));
-                }
-                shared.work.notify_all();
-                write_line(&mut writer, &Response::Accepted { id: id.as_u64() })?;
-            }
-            Request::SubmitDiff {
-                name,
-                source,
-                spec,
-                baseline,
-            } => {
-                let quota = shared.options.max_jobs_per_client;
-                if quota > 0 && submitted >= quota {
-                    write_line(
-                        &mut writer,
-                        &Response::Error {
-                            message: format!("job quota exceeded ({quota} per client)"),
-                        },
-                    )?;
-                    continue;
-                }
-                submitted += 1;
-                let journal_line = shared.journal.is_some().then(|| {
-                    Request::SubmitDiff {
-                        name: name.clone(),
-                        source: source.clone(),
-                        spec: spec.clone(),
-                        baseline: baseline.clone(),
-                    }
-                    .to_line()
-                });
-                let id = {
-                    let mut service = shared.lock();
-                    service.submit_source_with_baseline(name, &source, spec, baseline)
                 };
                 if let Some(line) = journal_line {
                     shared.journal_append(|j| j.submitted(id.as_u64(), &line));

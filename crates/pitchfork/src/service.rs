@@ -29,9 +29,8 @@
 
 use crate::detector::DetectorOptions;
 use crate::explorer::Explorer;
-use crate::incremental::{block_hashes, config_tag, entry_fingerprint};
 use crate::observe::{BoxObserver, Event, OwnedEvent};
-use crate::report::{Report, Verdict};
+use crate::report::Report;
 use crate::session::AnalysisSession;
 use crate::state::SymState;
 use crate::strategy::StrategyKind;
@@ -218,53 +217,6 @@ pub struct JobSpec {
     pub symbolic: Vec<Reg>,
 }
 
-/// A baseline verdict summary attached to a submission
-/// (`Request::SubmitDiff`): when the submitted program and resolved
-/// options still fingerprint to [`JobBaseline::fingerprint`], the
-/// daemon **replays** the recorded verdict without exploring anything —
-/// the diff-aware fast path of the incremental CI gate. A fingerprint
-/// mismatch (the entry changed, or client and daemon resolve options
-/// differently) falls back to a full analysis, so a stale baseline can
-/// cost time but never correctness.
-#[derive(Clone, Debug, PartialEq, Eq)]
-pub struct JobBaseline {
-    /// [`crate::incremental::entry_fingerprint`] the verdict was
-    /// computed under.
-    pub fingerprint: u64,
-    /// The baseline verdict to replay on a match.
-    pub verdict: Verdict,
-    /// States the baseline exploration expanded.
-    pub states: usize,
-    /// Complete schedules the baseline exploration ran.
-    pub schedules: usize,
-    /// The frontier order the baseline ran under.
-    pub strategy: String,
-    /// Whether the baseline exploration hit its budget.
-    pub truncated: bool,
-}
-
-impl JobBaseline {
-    /// A [`Report`] standing in for the skipped exploration: the
-    /// baseline's statistics with no recomputed witnesses. The typed
-    /// verdict still comes from [`JobBaseline::verdict`] (a record's
-    /// `replayed` field), never from this report — an insecure
-    /// baseline's witnesses are not re-derived.
-    fn synthesized_report(&self) -> Report {
-        Report {
-            violations: Vec::new(),
-            stats: crate::report::ExploreStats {
-                strategy: StrategyKind::parse(&self.strategy)
-                    .map(|s| s.name())
-                    .unwrap_or("unknown"),
-                states: self.states,
-                schedules: self.schedules,
-                truncated: self.truncated,
-                ..Default::default()
-            },
-        }
-    }
-}
-
 /// One unit of work: a program, its initial configuration, and the
 /// options to analyze it under.
 #[derive(Clone, Debug)]
@@ -277,9 +229,6 @@ pub struct Job {
     pub config: Config,
     /// Analysis options.
     pub spec: JobSpec,
-    /// Baseline verdict summary: when present and the fingerprint still
-    /// matches, the job replays instead of exploring.
-    pub baseline: Option<JobBaseline>,
 }
 
 impl Job {
@@ -290,7 +239,6 @@ impl Job {
             program,
             config,
             spec: JobSpec::default(),
-            baseline: None,
         }
     }
 
@@ -306,15 +254,7 @@ impl Job {
             program,
             config,
             spec,
-            baseline: None,
         }
-    }
-
-    /// The same job carrying a baseline verdict summary (see
-    /// [`JobBaseline`]).
-    pub fn with_baseline(mut self, baseline: JobBaseline) -> Job {
-        self.baseline = Some(baseline);
-        self
     }
 
     /// Assemble a job from `.sasm` source text — the form jobs arrive
@@ -331,7 +271,6 @@ impl Job {
             program: asm.program,
             config: asm.config,
             spec,
-            baseline: None,
         })
     }
 }
@@ -357,10 +296,6 @@ pub struct JobRecord {
     /// `max_states` exceeded the daemon's cap and was clamped down;
     /// `None` when no clamp happened.
     pub clamped_states: Option<u64>,
-    /// The baseline verdict replayed for this job (see [`JobBaseline`]);
-    /// `None` for jobs that actually explored. When present, this — not
-    /// the synthesized report — is the job's verdict.
-    pub replayed: Option<Verdict>,
 }
 
 /// When the service retires the session's arena epoch (save snapshot →
@@ -532,9 +467,6 @@ struct JobEntry {
     /// Budget actually applied when the requested `max_states` was
     /// clamped to the daemon cap (`None` = no clamp).
     clamped_states: Option<u64>,
-    /// The baseline verdict this job replayed instead of exploring
-    /// (`None` for jobs that actually ran).
-    replayed: Option<Verdict>,
 }
 
 impl JobEntry {
@@ -631,25 +563,8 @@ impl ServiceMonitor {
                 elapsed_ms: None,
                 cancel: Arc::new(AtomicBool::new(false)),
                 clamped_states: None,
-                replayed: None,
             },
         );
-    }
-
-    /// Mark a job as replayed from a baseline: the stored verdict wins
-    /// over the (synthesized) report's when records are read.
-    fn note_replay(&self, id: JobId, verdict: Verdict) {
-        let mut inner = self.lock();
-        if let Some(t) = &inner.trace {
-            t.record(
-                Some(id.as_u64()),
-                "job_replayed",
-                &[("verdict", TraceValue::Str(verdict.to_string()))],
-            );
-        }
-        if let Some(j) = inner.jobs.get_mut(&id.as_u64()) {
-            j.replayed = Some(verdict);
-        }
     }
 
     fn set_status(&self, id: JobId, status: JobStatus) {
@@ -854,7 +769,6 @@ impl ServiceMonitor {
             error: j.error.clone(),
             elapsed_ms,
             clamped_states: j.clamped_states,
-            replayed: j.replayed,
         })
     }
 
@@ -1139,30 +1053,6 @@ impl SessionService {
         }
     }
 
-    /// Finalize a job answered from its submitted baseline without
-    /// exploring: records the replayed verdict (which wins over the
-    /// synthesized report's), the terminal `ItemFinished` event, and
-    /// the usual timing/counter bookkeeping. Replays do no arena work,
-    /// so they don't advance the retire policy's job counter.
-    fn finalize_replay(&mut self, id: JobId, name: &str, b: &JobBaseline, queue_wait_ns: u64) {
-        let report = b.synthesized_report();
-        self.jobs_done += 1;
-        self.note_job_timing(id, queue_wait_ns, 0);
-        if sct_telemetry::enabled() {
-            sct_telemetry::counter(sct_telemetry::names::INCR_REUSE_TOTAL).inc();
-        }
-        self.monitor.note_replay(id, b.verdict);
-        self.monitor.record_event_for(
-            id,
-            OwnedEvent::ItemFinished {
-                name: name.to_string(),
-                flagged: b.verdict.is_insecure(),
-                states: report.stats.states,
-            },
-        );
-        self.monitor.finish(id, report, JobStatus::Done);
-    }
-
     /// Roll one finished job's work-stealing counters into the
     /// service totals (exact — each job's report already sums its own
     /// workers).
@@ -1229,32 +1119,6 @@ impl SessionService {
         }
     }
 
-    /// Assemble `source` and enqueue it with a baseline record from a
-    /// previous run: if the job's fingerprint (recomputed daemon-side
-    /// from the assembled program and the fully resolved options) still
-    /// matches `baseline.fingerprint`, the job replays the baseline
-    /// verdict instead of exploring. On mismatch it runs in full.
-    pub fn submit_source_with_baseline(
-        &mut self,
-        name: impl Into<String>,
-        source: &str,
-        spec: JobSpec,
-        baseline: JobBaseline,
-    ) -> JobId {
-        let name = name.into();
-        match Job::from_source(name.clone(), source, spec) {
-            Ok(job) => self.submit(job.with_baseline(baseline)),
-            Err(e) => {
-                let id = self.fresh_id();
-                self.jobs_submitted += 1;
-                self.jobs_failed += 1;
-                self.monitor
-                    .add_job(id, name, JobStatus::Failed, Some(e.to_string()));
-                id
-            }
-        }
-    }
-
     /// `true` when jobs are waiting.
     pub fn has_pending(&self) -> bool {
         !self.queue.is_empty()
@@ -1293,8 +1157,8 @@ impl SessionService {
 
     /// Drain the queue one job at a time (each job is finished, and
     /// any due retirement applied, before the next begins); returns how
-    /// many jobs ran. Cancelled queue entries and baseline replays are
-    /// finalized without running and are not counted.
+    /// many jobs ran. Cancelled queue entries are finalized without
+    /// running and are not counted.
     pub fn run_pending(&mut self) -> usize {
         let mut n = 0;
         while let Some(job) = self.begin_next() {
@@ -1352,30 +1216,6 @@ impl SessionService {
             options.explorer.max_states =
                 self.resolve_state_budget(id, job.spec.max_states, defaults.explorer.max_states);
             options.explorer.deadline_ms = job.spec.deadline_ms;
-            // Baseline replay: a job carrying a matching fingerprint
-            // (same basic-block hashes, same effective analysis
-            // configuration) skips exploration and re-reports the
-            // baseline verdict. The fingerprint is recomputed here from
-            // the *fully resolved* options, so a stale or foreign
-            // baseline can only cost time (full re-analysis), never
-            // correctness. A replayed job is finalized here — it never
-            // becomes a prepared job or counts toward the in-flight
-            // retirement deferral.
-            if let Some(b) = job.baseline.as_ref() {
-                let fp = entry_fingerprint(
-                    &block_hashes(&job.program),
-                    config_tag(&options, bound, &job.spec.symbolic),
-                );
-                if fp == b.fingerprint {
-                    self.monitor.set_status(id, JobStatus::Running);
-                    let b = b.clone();
-                    self.finalize_replay(id, &job.name, &b, queue_wait_ns);
-                    continue;
-                }
-                if sct_telemetry::enabled() {
-                    sct_telemetry::counter(sct_telemetry::names::INCR_REANALYZED_TOTAL).inc();
-                }
-            }
             break (id, job, queue_wait_ns, options);
         };
         self.in_flight += 1;
@@ -1632,60 +1472,6 @@ mod tests {
         let direct = session.analyze(&p, &cfg);
         assert_eq!(via_service.verdict(), direct.verdict());
         assert_eq!(via_service.stats.states, direct.stats.states);
-    }
-
-    #[test]
-    fn baseline_replay_skips_exploration_and_keeps_the_verdict() {
-        let mut svc = service();
-        let (p, cfg) = fig1();
-        let cold = svc.submit(Job::new("fig1", p.clone(), cfg.clone()));
-        svc.run_pending();
-        let cold_rec = svc.record(cold).unwrap();
-        let report = cold_rec.report.as_ref().unwrap();
-        let verdict = report.verdict();
-        assert!(verdict.is_insecure());
-        // The fingerprint a ci-gate client would have recorded: same
-        // program, same effective options as the daemon resolves for a
-        // default spec on this session.
-        let fp = entry_fingerprint(
-            &block_hashes(&p),
-            config_tag(svc.session().options(), 16, &[]),
-        );
-        let baseline = JobBaseline {
-            fingerprint: fp,
-            verdict,
-            states: report.stats.states,
-            schedules: report.stats.schedules,
-            strategy: report.stats.strategy.to_string(),
-            truncated: report.stats.truncated,
-        };
-
-        // Matching fingerprint: replayed without exploring. The record
-        // carries the baseline's verdict (witnesses included, which the
-        // synthesized report cannot reconstruct) and its state count.
-        let warm =
-            svc.submit(Job::new("fig1", p.clone(), cfg.clone()).with_baseline(baseline.clone()));
-        assert_eq!(svc.run_pending(), 0, "a replay runs no exploration");
-        assert_eq!(svc.in_flight(), 0);
-        let warm_rec = svc.record(warm).unwrap();
-        assert_eq!(warm_rec.status, JobStatus::Done);
-        assert_eq!(warm_rec.replayed, Some(verdict));
-        let warm_report = warm_rec.report.as_ref().unwrap();
-        assert_eq!(warm_report.stats.states, baseline.states);
-        assert_eq!(warm_report.stats.schedules, baseline.schedules);
-        assert!(warm_report.violations.is_empty());
-
-        // A stale fingerprint falls back to full analysis: the verdict
-        // is recomputed (witnesses present) and nothing is replayed.
-        let stale = JobBaseline {
-            fingerprint: fp ^ 1,
-            ..baseline
-        };
-        let full = svc.submit(Job::new("fig1", p, cfg).with_baseline(stale));
-        assert_eq!(svc.run_pending(), 1);
-        let full_rec = svc.record(full).unwrap();
-        assert_eq!(full_rec.replayed, None);
-        assert!(!full_rec.report.as_ref().unwrap().violations.is_empty());
     }
 
     #[test]

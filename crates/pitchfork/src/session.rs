@@ -24,10 +24,7 @@
 use crate::batch::{BatchItem, BatchOutcome, BatchReport, BatchTotals};
 use crate::detector::DetectorOptions;
 use crate::explorer::Explorer;
-use crate::incremental::{
-    block_hashes, config_tag, entry_fingerprint, plan_entry, BaselineEntry, BaselineManifest,
-    EntryPlan, IncrementalOutcome, IncrementalReport,
-};
+use crate::incremental::{BaselineManifest, IncrementalGate, IncrementalReport};
 use crate::observe::{emit, BoxObserver, Event};
 use crate::report::Report;
 use crate::state::SymState;
@@ -216,8 +213,7 @@ impl AnalysisSession {
     /// Swap detector options mid-session: mode changes between batches
     /// reuse the session's cache/epoch state. The session's sticky
     /// knobs — search strategy, deduplication, and parallelism —
-    /// survive the swap, mirroring the builder's mode setters;
-    /// deduplication can be changed with [`AnalysisSession::set_dedup`].
+    /// survive the swap, mirroring the builder's mode setters.
     pub fn set_options(&mut self, options: DetectorOptions) {
         let strategy = self.options.explorer.strategy;
         let dedup = self.options.explorer.dedup_states;
@@ -226,11 +222,6 @@ impl AnalysisSession {
         self.options.explorer.strategy = strategy;
         self.options.explorer.dedup_states = dedup;
         self.options.explorer.threads = threads;
-    }
-
-    /// Toggle fingerprint deduplication for subsequent analyses.
-    pub fn set_dedup(&mut self, dedup: bool) {
-        self.options.explorer.dedup_states = dedup;
     }
 
     /// The active frontier order.
@@ -352,8 +343,10 @@ impl AnalysisSession {
     /// Diff-aware re-analysis: run a batch against a
     /// [`BaselineManifest`], replaying the recorded verdict for every
     /// entry whose fingerprint is unchanged (zero exploration) and
-    /// re-exploring only dirty or new entries — typically against the
-    /// warm memo hydrated from the baseline's pruned snapshot.
+    /// re-exploring only dirty or new entries, through
+    /// [`AnalysisSession::run_batch`] — typically against the warm memo
+    /// hydrated from the baseline's pruned snapshot. This is the
+    /// [`IncrementalGate`] with this session as its analyser.
     ///
     /// The returned report carries the refreshed manifest (see
     /// [`crate::incremental::save_baseline`]) and flags verdict flips;
@@ -365,104 +358,9 @@ impl AnalysisSession {
         items: impl IntoIterator<Item = BatchItem>,
         baseline: &BaselineManifest,
     ) -> IncrementalReport {
-        fn verdict_kind(v: &crate::report::Verdict) -> u8 {
-            match v {
-                crate::report::Verdict::Secure => 0,
-                crate::report::Verdict::Insecure { .. } => 1,
-                crate::report::Verdict::Unknown { .. } => 2,
-            }
-        }
-        let start = Instant::now();
-        let mut manifest = BaselineManifest::empty();
-        let mut outcomes = Vec::new();
-        let (mut reused, mut reanalyzed) = (0, 0);
-        let (mut states_explored, mut states_skipped) = (0, 0);
-        let saved_bound = self.options.explorer.spec_bound;
-        for item in items {
-            let bound = item.bound.unwrap_or(saved_bound);
-            let blocks = block_hashes(&item.program);
-            let tag = config_tag(&self.options, bound, &item.symbolic);
-            let fingerprint = entry_fingerprint(&blocks, tag);
-            let plan = plan_entry(baseline, &item.name, fingerprint, &blocks);
-            if plan == EntryPlan::Unchanged {
-                let old = baseline
-                    .get(&item.name)
-                    .expect("unchanged implies a baseline entry")
-                    .clone();
-                if sct_telemetry::enabled() {
-                    sct_telemetry::counter(sct_telemetry::names::INCR_REUSE_TOTAL).inc();
-                }
-                reused += 1;
-                states_skipped += old.states;
-                outcomes.push(IncrementalOutcome {
-                    name: old.name.clone(),
-                    plan,
-                    verdict: old.verdict,
-                    line: old.line.clone(),
-                    states: 0,
-                    flip: None,
-                });
-                manifest.upsert(old);
-                continue;
-            }
-            self.options.explorer.spec_bound = bound;
-            let report = self.analyze_symbolic(&item.program, &item.config, &item.symbolic);
-            self.options.explorer.spec_bound = saved_bound;
-            if sct_telemetry::enabled() {
-                sct_telemetry::counter(sct_telemetry::names::INCR_REANALYZED_TOTAL).inc();
-            }
-            reanalyzed += 1;
-            states_explored += report.stats.states;
-            let verdict = report.verdict();
-            let line = crate::fleet::report_line(
-                &item.name,
-                verdict,
-                report.stats.states,
-                report.stats.schedules,
-                report.stats.strategy,
-                report.stats.truncated,
-            );
-            let flip = baseline
-                .get(&item.name)
-                .map(|e| e.verdict)
-                .filter(|old| verdict_kind(old) != verdict_kind(&verdict));
-            emit(
-                &mut self.observers,
-                Event::ItemFinished {
-                    name: &item.name,
-                    flagged: report.has_violations(),
-                    states: report.stats.states,
-                },
-            );
-            manifest.upsert(BaselineEntry {
-                name: item.name.clone(),
-                fingerprint,
-                blocks,
-                verdict,
-                line: line.clone(),
-                states: report.stats.states,
-                schedules: report.stats.schedules,
-                strategy: report.stats.strategy.to_string(),
-                truncated: report.stats.truncated,
-            });
-            outcomes.push(IncrementalOutcome {
-                name: item.name,
-                plan,
-                verdict,
-                line,
-                states: report.stats.states,
-                flip,
-            });
-        }
-        IncrementalReport {
-            outcomes,
-            reused,
-            reanalyzed,
-            states_explored,
-            states_skipped,
-            manifest,
-            wall: start.elapsed(),
-        }
+        let (gate, dirty) = IncrementalGate::plan(baseline, &self.options, items);
+        let results = self.run_batch(dirty).outcomes.into_iter();
+        gate.finish(results.map(|o| (o.report.verdict(), o.report.stats, false)))
     }
 
     /// Persist the process-wide arena and verdict memo to the attached
@@ -507,6 +405,7 @@ impl AnalysisSession {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::incremental::EntryPlan;
     use crate::observe::{EventLog, Observer};
     use crate::report::Verdict;
     use sct_core::examples::fig1;

@@ -1173,11 +1173,6 @@ impl ExprRef {
         })
     }
 
-    /// `true` when the expression contains no variables.
-    pub fn is_concrete(self) -> bool {
-        self.as_const().is_some()
-    }
-
     /// Evaluate under a model (total: missing variables read 0).
     pub fn eval(self, model: &Model) -> u64 {
         LocalView::new().eval(self, model)

@@ -719,11 +719,6 @@ impl Solver {
         }
     }
 
-    /// Find a model for `expr != 0` alone.
-    pub fn check_one(&self, expr: &Expr) -> Verdict {
-        self.check(std::slice::from_ref(expr))
-    }
-
     /// Find a model and evaluate `expr` under it, preferring small
     /// values — the angr-style concretization used for addresses.
     /// Returns `None` when the constraints are unsatisfiable.
