@@ -1,6 +1,6 @@
 //! Assembly errors with source positions.
 
-use crate::token::{Pos, Token};
+use crate::token::Pos;
 use std::fmt;
 
 /// An error produced while lexing, parsing, or assembling.
@@ -22,8 +22,9 @@ pub enum AsmError {
     },
     /// The parser found a token it did not expect.
     UnexpectedToken {
-        /// The token found.
-        found: Token,
+        /// The token found, rendered by [`crate::token::Token`]'s
+        /// `Display` (e.g. ``identifier `foo` ``).
+        found: String,
         /// What the parser was expecting.
         expected: &'static str,
         /// Where it occurred.

@@ -4,169 +4,132 @@ use crate::error::AsmError;
 use crate::token::{Pos, Spanned, Token};
 
 /// Lex the whole source into tokens (with a trailing [`Token::Eof`]).
+/// Identifiers and directive names borrow from `src`.
 ///
 /// Comments run from `;` or `#` to end of line. Newlines are significant
 /// (statements are line-oriented) and consecutive newlines collapse.
+/// Columns count characters, not bytes.
 ///
 /// # Errors
 ///
 /// Returns [`AsmError::UnexpectedChar`] or [`AsmError::BadNumber`] with
 /// the offending position.
-pub fn lex(src: &str) -> Result<Vec<Spanned>, AsmError> {
-    let mut out = Vec::new();
-    let mut line: u32 = 1;
-    let mut col: u32 = 1;
-    let mut chars = src.chars().peekable();
-
-    macro_rules! push {
-        ($tok:expr, $pos:expr) => {
-            out.push(Spanned {
-                token: $tok,
-                pos: $pos,
+pub fn lex(src: &str) -> Result<Vec<Spanned<'_>>, AsmError> {
+    let bytes = src.as_bytes();
+    let mut out: Vec<Spanned<'_>> = Vec::with_capacity(src.len() / 4);
+    let (mut i, mut line, mut col) = (0usize, 1u32, 1u32);
+    // The end of the `[A-Za-z0-9_]*` run starting at `from`.
+    let word_end = |from: usize| {
+        bytes[from..]
+            .iter()
+            .position(|b| !(b.is_ascii_alphanumeric() || *b == b'_'))
+            .map_or(bytes.len(), |k| from + k)
+    };
+    let after_newline = |out: &[Spanned<'_>]| {
+        matches!(
+            out.last(),
+            None | Some(Spanned {
+                token: Token::Newline,
+                ..
             })
-        };
-    }
+        )
+    };
 
-    while let Some(&c) = chars.peek() {
+    while let Some(&c) = bytes.get(i) {
         let pos = Pos { line, col };
-        match c {
-            '\n' => {
-                chars.next();
+        let (token, end) = match c {
+            b'\n' => {
+                i += 1;
                 line += 1;
                 col = 1;
-                if !matches!(
-                    out.last(),
-                    None | Some(Spanned {
+                if !after_newline(&out) {
+                    out.push(Spanned {
                         token: Token::Newline,
-                        ..
-                    })
-                ) {
-                    push!(Token::Newline, pos);
+                        pos,
+                    });
                 }
+                continue;
             }
-            ' ' | '\t' | '\r' => {
-                chars.next();
+            b' ' | b'\t' | b'\r' => {
+                i += 1;
                 col += 1;
+                continue;
             }
-            ';' | '#' => {
-                while let Some(&c2) = chars.peek() {
-                    if c2 == '\n' {
-                        break;
-                    }
-                    chars.next();
-                    col += 1;
-                }
+            b';' | b'#' => {
+                let end = bytes[i..]
+                    .iter()
+                    .position(|&b| b == b'\n')
+                    .map_or(bytes.len(), |k| i + k);
+                col += src[i..end].chars().count() as u32;
+                i = end;
+                continue;
             }
-            ':' => {
-                chars.next();
-                col += 1;
-                push!(Token::Colon, pos);
-            }
-            ',' => {
-                chars.next();
-                col += 1;
-                push!(Token::Comma, pos);
-            }
-            '=' => {
-                chars.next();
-                col += 1;
-                push!(Token::Equals, pos);
-            }
-            '[' => {
-                chars.next();
-                col += 1;
-                push!(Token::LBracket, pos);
-            }
-            ']' => {
-                chars.next();
-                col += 1;
-                push!(Token::RBracket, pos);
-            }
-            '(' => {
-                chars.next();
-                col += 1;
-                push!(Token::LParen, pos);
-            }
-            ')' => {
-                chars.next();
-                col += 1;
-                push!(Token::RParen, pos);
-            }
-            '@' => {
-                chars.next();
-                col += 1;
-                push!(Token::At, pos);
-            }
-            '.' => {
-                chars.next();
-                col += 1;
-                let mut name = String::new();
-                while let Some(&c2) = chars.peek() {
-                    if c2.is_ascii_alphanumeric() || c2 == '_' {
-                        name.push(c2);
-                        chars.next();
-                        col += 1;
-                    } else {
-                        break;
-                    }
-                }
-                if name.is_empty() {
+            b':' => (Token::Colon, i + 1),
+            b',' => (Token::Comma, i + 1),
+            b'=' => (Token::Equals, i + 1),
+            b'[' => (Token::LBracket, i + 1),
+            b']' => (Token::RBracket, i + 1),
+            b'(' => (Token::LParen, i + 1),
+            b')' => (Token::RParen, i + 1),
+            b'@' => (Token::At, i + 1),
+            b'.' => {
+                let end = word_end(i + 1);
+                if end == i + 1 {
                     return Err(AsmError::UnexpectedChar { ch: '.', pos });
                 }
-                push!(Token::Directive(name), pos);
+                (Token::Directive(&src[i + 1..end]), end)
             }
-            c if c.is_ascii_digit() => {
-                let mut text = String::new();
-                while let Some(&c2) = chars.peek() {
-                    if c2.is_ascii_alphanumeric() || c2 == '_' {
-                        text.push(c2);
-                        chars.next();
-                        col += 1;
-                    } else {
-                        break;
-                    }
-                }
-                let cleaned = text.replace('_', "");
-                let value = if let Some(hex) = cleaned
-                    .strip_prefix("0x")
-                    .or_else(|| cleaned.strip_prefix("0X"))
-                {
-                    u64::from_str_radix(hex, 16)
+            b'0'..=b'9' => {
+                let end = word_end(i);
+                let text = &src[i..end];
+                let cleaned;
+                let digits = if text.contains('_') {
+                    cleaned = text.replace('_', "");
+                    &cleaned
                 } else {
-                    cleaned.parse::<u64>()
+                    text
+                };
+                let value = match digits
+                    .strip_prefix("0x")
+                    .or_else(|| digits.strip_prefix("0X"))
+                {
+                    Some(hex) => u64::from_str_radix(hex, 16),
+                    None => digits.parse::<u64>(),
                 };
                 match value {
-                    Ok(n) => push!(Token::Number(n), pos),
-                    Err(_) => return Err(AsmError::BadNumber { text, pos }),
-                }
-            }
-            c if c.is_ascii_alphabetic() || c == '_' => {
-                let mut name = String::new();
-                while let Some(&c2) = chars.peek() {
-                    if c2.is_ascii_alphanumeric() || c2 == '_' {
-                        name.push(c2);
-                        chars.next();
-                        col += 1;
-                    } else {
-                        break;
+                    Ok(n) => (Token::Number(n), end),
+                    Err(_) => {
+                        return Err(AsmError::BadNumber {
+                            text: text.to_string(),
+                            pos,
+                        })
                     }
                 }
-                push!(Token::Ident(name), pos);
             }
-            other => return Err(AsmError::UnexpectedChar { ch: other, pos }),
-        }
+            c if c.is_ascii_alphabetic() || c == b'_' => {
+                let end = word_end(i);
+                (Token::Ident(&src[i..end]), end)
+            }
+            _ => {
+                let ch = src[i..].chars().next().expect("`i` is on a char boundary");
+                return Err(AsmError::UnexpectedChar { ch, pos });
+            }
+        };
+        out.push(Spanned { token, pos });
+        col += (end - i) as u32;
+        i = end;
     }
     let end = Pos { line, col };
-    if !matches!(
-        out.last(),
-        None | Some(Spanned {
+    if !after_newline(&out) {
+        out.push(Spanned {
             token: Token::Newline,
-            ..
-        })
-    ) {
-        push!(Token::Newline, end);
+            pos: end,
+        });
     }
-    push!(Token::Eof, end);
+    out.push(Spanned {
+        token: Token::Eof,
+        pos: end,
+    });
     Ok(out)
 }
 
@@ -174,7 +137,7 @@ pub fn lex(src: &str) -> Result<Vec<Spanned>, AsmError> {
 mod tests {
     use super::*;
 
-    fn toks(src: &str) -> Vec<Token> {
+    fn toks(src: &str) -> Vec<Token<'_>> {
         lex(src).unwrap().into_iter().map(|s| s.token).collect()
     }
 
@@ -183,13 +146,13 @@ mod tests {
         assert_eq!(
             toks("rb = load [0x40, ra]"),
             vec![
-                Token::Ident("rb".into()),
+                Token::Ident("rb"),
                 Token::Equals,
-                Token::Ident("load".into()),
+                Token::Ident("load"),
                 Token::LBracket,
                 Token::Number(0x40),
                 Token::Comma,
-                Token::Ident("ra".into()),
+                Token::Ident("ra"),
                 Token::RBracket,
                 Token::Newline,
                 Token::Eof,
@@ -203,10 +166,10 @@ mod tests {
         assert_eq!(
             t,
             vec![
-                Token::Ident("foo".into()),
+                Token::Ident("foo"),
                 Token::Colon,
                 Token::Newline,
-                Token::Ident("ret".into()),
+                Token::Ident("ret"),
                 Token::Newline,
                 Token::Eof,
             ]
@@ -232,12 +195,12 @@ mod tests {
         assert_eq!(
             toks(".secret 0x48 = 7@sec"),
             vec![
-                Token::Directive("secret".into()),
+                Token::Directive("secret"),
                 Token::Number(0x48),
                 Token::Equals,
                 Token::Number(7),
                 Token::At,
-                Token::Ident("sec".into()),
+                Token::Ident("sec"),
                 Token::Newline,
                 Token::Eof
             ]
@@ -262,7 +225,7 @@ mod tests {
         let spanned = lex("a\nbb\n  c").unwrap();
         let c = spanned
             .iter()
-            .find(|s| s.token == Token::Ident("c".into()))
+            .find(|s| s.token == Token::Ident("c"))
             .unwrap();
         assert_eq!(c.pos.line, 3);
         assert_eq!(c.pos.col, 3);

@@ -37,46 +37,47 @@ pub fn parse(src: &str) -> Result<File, AsmError> {
     .file()
 }
 
-struct Parser {
-    tokens: Vec<Spanned>,
+struct Parser<'a> {
+    tokens: Vec<Spanned<'a>>,
     index: usize,
 }
 
-impl Parser {
-    fn peek(&self) -> &Spanned {
-        &self.tokens[self.index.min(self.tokens.len() - 1)]
+/// The error for finding `t` where the parser expected `expected`.
+fn unexpected(t: Spanned<'_>, expected: &'static str) -> AsmError {
+    AsmError::UnexpectedToken {
+        found: t.token.to_string(),
+        expected,
+        pos: t.pos,
+    }
+}
+
+impl<'a> Parser<'a> {
+    fn peek(&self) -> Spanned<'a> {
+        self.tokens[self.index.min(self.tokens.len() - 1)]
     }
 
-    fn next(&mut self) -> Spanned {
-        let t = self.tokens[self.index.min(self.tokens.len() - 1)].clone();
+    fn next(&mut self) -> Spanned<'a> {
+        let t = self.peek();
         if self.index < self.tokens.len() - 1 {
             self.index += 1;
         }
         t
     }
 
-    fn expect(&mut self, want: &Token, expected: &'static str) -> Result<Pos, AsmError> {
+    fn expect(&mut self, want: Token<'_>, expected: &'static str) -> Result<Pos, AsmError> {
         let t = self.next();
-        if &t.token == want {
+        if t.token == want {
             Ok(t.pos)
         } else {
-            Err(AsmError::UnexpectedToken {
-                found: t.token,
-                expected,
-                pos: t.pos,
-            })
+            Err(unexpected(t, expected))
         }
     }
 
-    fn expect_ident(&mut self, expected: &'static str) -> Result<(String, Pos), AsmError> {
+    fn expect_ident(&mut self, expected: &'static str) -> Result<(&'a str, Pos), AsmError> {
         let t = self.next();
         match t.token {
             Token::Ident(s) => Ok((s, t.pos)),
-            other => Err(AsmError::UnexpectedToken {
-                found: other,
-                expected,
-                pos: t.pos,
-            }),
+            _ => Err(unexpected(t, expected)),
         }
     }
 
@@ -84,16 +85,12 @@ impl Parser {
         let t = self.next();
         match t.token {
             Token::Number(n) => Ok((n, t.pos)),
-            other => Err(AsmError::UnexpectedToken {
-                found: other,
-                expected,
-                pos: t.pos,
-            }),
+            _ => Err(unexpected(t, expected)),
         }
     }
 
-    fn eat(&mut self, tok: &Token) -> bool {
-        if &self.peek().token == tok {
+    fn eat(&mut self, tok: Token<'_>) -> bool {
+        if self.peek().token == tok {
             self.next();
             true
         } else {
@@ -105,18 +102,14 @@ impl Parser {
         let t = self.next();
         match t.token {
             Token::Newline | Token::Eof => Ok(()),
-            other => Err(AsmError::UnexpectedToken {
-                found: other,
-                expected: "end of line",
-                pos: t.pos,
-            }),
+            _ => Err(unexpected(t, "end of line")),
         }
     }
 
     fn file(mut self) -> Result<File, AsmError> {
         let mut items = Vec::new();
         loop {
-            match &self.peek().token {
+            match self.peek().token {
                 Token::Eof => break,
                 Token::Newline => {
                     self.next();
@@ -138,12 +131,11 @@ impl Parser {
     fn line(&mut self, items: &mut Vec<Item>) -> Result<(), AsmError> {
         loop {
             // Lookahead: `ident :` is a label definition.
-            if let Token::Ident(name) = &self.peek().token {
-                let name = name.clone();
-                if self.tokens.get(self.index + 1).map(|s| &s.token) == Some(&Token::Colon) {
+            if let Token::Ident(name) = self.peek().token {
+                if self.tokens.get(self.index + 1).map(|s| s.token) == Some(Token::Colon) {
                     let pos = self.next().pos; // ident
                     self.next(); // colon
-                    items.push(Item::LabelDef { name, pos });
+                    items.push(Item::LabelDef { name: name.to_string(), pos });
                     continue;
                 }
             }
@@ -164,40 +156,40 @@ impl Parser {
             unreachable!()
         };
         let pos = t.pos;
-        match name.as_str() {
+        match name {
             "entry" => {
                 let (label, _) = self.expect_ident("entry label")?;
-                items.push(Item::Entry { name: label, pos });
+                items.push(Item::Entry { name: label.to_string(), pos });
             }
             "reg" => {
                 let (reg, rpos) = self.expect_ident("register name")?;
-                if Reg::parse(&reg).is_none() {
+                if Reg::parse(reg).is_none() {
                     return Err(AsmError::UnknownRegister {
-                        name: reg,
+                        name: reg.to_string(),
                         pos: rpos,
                     });
                 }
-                self.expect(&Token::Equals, "`=`")?;
+                self.expect(Token::Equals, "`=`")?;
                 let (value, label) = self.labeled_number(Label::Public)?;
                 items.push(Item::RegInit {
-                    name: reg,
+                    name: reg.to_string(),
                     value,
                     label,
                     pos,
                 });
             }
             "public" | "secret" | "mem" => {
-                let default = match name.as_str() {
+                let default = match name {
                     "secret" => Label::Secret,
                     _ => Label::Public,
                 };
                 let (base, _) = self.expect_number("base address")?;
-                self.expect(&Token::Equals, "`=`")?;
+                self.expect(Token::Equals, "`=`")?;
                 let mut values = Vec::new();
                 loop {
                     let (v, l) = self.labeled_number(default)?;
                     values.push((v, l));
-                    if !self.eat(&Token::Comma) {
+                    if !self.eat(Token::Comma) {
                         break;
                     }
                 }
@@ -216,102 +208,75 @@ impl Parser {
     /// `NUMBER [@pub|@sec]`, with a default label.
     fn labeled_number(&mut self, default: Label) -> Result<(u64, Label), AsmError> {
         let (value, _) = self.expect_number("number")?;
-        if self.eat(&Token::At) {
-            let (l, lpos) = self.expect_ident("`pub` or `sec`")?;
-            let label = match l.as_str() {
-                "pub" => Label::Public,
-                "sec" => Label::Secret,
-                _ => {
-                    return Err(AsmError::UnknownValueLabel { name: l, pos: lpos });
-                }
-            };
-            Ok((value, label))
-        } else {
-            Ok((value, default))
+        Ok((value, self.value_label(default)?))
+    }
+
+    /// An optional `@pub` / `@sec` annotation, else `default`.
+    fn value_label(&mut self, default: Label) -> Result<Label, AsmError> {
+        if !self.eat(Token::At) {
+            return Ok(default);
+        }
+        match self.expect_ident("`pub` or `sec`")? {
+            ("pub", _) => Ok(Label::Public),
+            ("sec", _) => Ok(Label::Secret),
+            (name, pos) => Err(AsmError::UnknownValueLabel { name: name.to_string(), pos }),
         }
     }
 
     fn operand(&mut self) -> Result<OperandAst, AsmError> {
         let t = self.next();
         match t.token {
-            Token::Number(n) => {
-                if self.eat(&Token::At) {
-                    let (l, lpos) = self.expect_ident("`pub` or `sec`")?;
-                    let label = match l.as_str() {
-                        "pub" => Label::Public,
-                        "sec" => Label::Secret,
-                        _ => return Err(AsmError::UnknownValueLabel { name: l, pos: lpos }),
-                    };
-                    Ok(OperandAst::Num(n, label, t.pos))
-                } else {
-                    Ok(OperandAst::Num(n, Label::Public, t.pos))
-                }
+            Token::Number(n) => Ok(OperandAst::Num(n, self.value_label(Label::Public)?, t.pos)),
+            Token::Ident(name) if Reg::parse(name).is_some() => {
+                Ok(OperandAst::Reg(name.to_string(), t.pos))
             }
-            Token::Ident(name) => {
-                if Reg::parse(&name).is_some() {
-                    Ok(OperandAst::Reg(name, t.pos))
-                } else {
-                    Ok(OperandAst::LabelRef(name, t.pos))
-                }
-            }
-            other => Err(AsmError::UnexpectedToken {
-                found: other,
-                expected: "operand (number, register, or label)",
-                pos: t.pos,
-            }),
+            Token::Ident(name) => Ok(OperandAst::LabelRef(name.to_string(), t.pos)),
+            _ => Err(unexpected(t, "operand (number, register, or label)")),
         }
     }
 
-    fn operand_list(&mut self, close: &Token) -> Result<Vec<OperandAst>, AsmError> {
+    fn operand_list(&mut self, close: Token<'_>) -> Result<Vec<OperandAst>, AsmError> {
         let mut out = Vec::new();
-        if &self.peek().token == close {
-            self.next();
+        if self.eat(close) {
             return Ok(out);
         }
         loop {
             out.push(self.operand()?);
-            if self.eat(&Token::Comma) {
+            if self.eat(Token::Comma) {
                 continue;
             }
             let t = self.next();
-            if &t.token == close {
+            if t.token == close {
                 return Ok(out);
             }
-            return Err(AsmError::UnexpectedToken {
-                found: t.token,
-                expected: "`,` or closing bracket",
-                pos: t.pos,
-            });
+            return Err(unexpected(t, "`,` or closing bracket"));
         }
     }
 
     fn bracketed_operands(&mut self) -> Result<Vec<OperandAst>, AsmError> {
-        self.expect(&Token::LBracket, "`[`")?;
-        self.operand_list(&Token::RBracket)
+        self.expect(Token::LBracket, "`[`")?;
+        self.operand_list(Token::RBracket)
     }
 
     fn statement(&mut self) -> Result<(StmtKind, Pos), AsmError> {
         let t = self.next();
         let pos = t.pos;
         let Token::Ident(head) = t.token else {
-            return Err(AsmError::UnexpectedToken {
-                found: t.token,
-                expected: "instruction",
-                pos,
-            });
+            return Err(unexpected(t, "instruction"));
         };
 
         // `rd = ...` assignment forms.
-        if Reg::parse(&head).is_some() && self.peek().token == Token::Equals {
+        if Reg::parse(head).is_some() && self.peek().token == Token::Equals {
             self.next(); // `=`
             let (mnemonic, mpos) = self.expect_ident("opcode or `load`")?;
+            let dst = head.to_string();
             if mnemonic == "load" {
                 let addr = self.bracketed_operands()?;
-                return Ok((StmtKind::Load { dst: head, addr }, pos));
+                return Ok((StmtKind::Load { dst, addr }, pos));
             }
-            if sct_core::OpCode::parse(&mnemonic).is_none() {
+            if sct_core::OpCode::parse(mnemonic).is_none() {
                 return Err(AsmError::UnknownMnemonic {
-                    name: mnemonic,
+                    name: mnemonic.to_string(),
                     pos: mpos,
                 });
             }
@@ -319,31 +284,25 @@ impl Parser {
             if !matches!(self.peek().token, Token::Newline | Token::Eof) {
                 loop {
                     args.push(self.operand()?);
-                    if !self.eat(&Token::Comma) {
+                    if !self.eat(Token::Comma) {
                         break;
                     }
                 }
             }
-            return Ok((
-                StmtKind::OpAssign {
-                    dst: head,
-                    mnemonic,
-                    args,
-                },
-                pos,
-            ));
+            let mnemonic = mnemonic.to_string();
+            return Ok((StmtKind::OpAssign { dst, mnemonic, args }, pos));
         }
 
-        match head.as_str() {
+        match head {
             "store" => {
                 let src = self.operand()?;
-                self.expect(&Token::Comma, "`,`")?;
+                self.expect(Token::Comma, "`,`")?;
                 let addr = self.bracketed_operands()?;
                 Ok((StmtKind::Store { src, addr }, pos))
             }
             "br" => {
                 let (mnemonic, mpos) = self.expect_ident("boolean opcode")?;
-                match sct_core::OpCode::parse(&mnemonic) {
+                match sct_core::OpCode::parse(mnemonic) {
                     Some(op) if op.is_boolean() => {}
                     _ => {
                         return Err(AsmError::Invalid {
@@ -352,25 +311,25 @@ impl Parser {
                         })
                     }
                 }
-                self.expect(&Token::LParen, "`(`")?;
-                let args = self.operand_list(&Token::RParen)?;
-                self.expect(&Token::Comma, "`,`")?;
+                self.expect(Token::LParen, "`(`")?;
+                let args = self.operand_list(Token::RParen)?;
+                self.expect(Token::Comma, "`,`")?;
                 let (tru, _) = self.expect_ident("true-branch label")?;
-                self.expect(&Token::Comma, "`,`")?;
+                self.expect(Token::Comma, "`,`")?;
                 let (fls, _) = self.expect_ident("false-branch label")?;
                 Ok((
                     StmtKind::Br {
-                        mnemonic,
+                        mnemonic: mnemonic.to_string(),
                         args,
-                        tru,
-                        fls,
+                        tru: tru.to_string(),
+                        fls: fls.to_string(),
                     },
                     pos,
                 ))
             }
             "jmp" => {
                 let (target, _) = self.expect_ident("target label")?;
-                Ok((StmtKind::Jmp { target }, pos))
+                Ok((StmtKind::Jmp { target: target.to_string() }, pos))
             }
             "jmpi" => {
                 let args = self.bracketed_operands()?;
@@ -378,7 +337,7 @@ impl Parser {
             }
             "call" => {
                 let (target, _) = self.expect_ident("callee label")?;
-                Ok((StmtKind::Call { target }, pos))
+                Ok((StmtKind::Call { target: target.to_string() }, pos))
             }
             "ret" => Ok((StmtKind::Ret, pos)),
             "fence" => Ok((StmtKind::Fence, pos)),

@@ -22,15 +22,16 @@ impl fmt::Display for Pos {
     }
 }
 
-/// A lexical token.
-#[derive(Clone, PartialEq, Eq, Debug)]
-pub enum Token {
+/// A lexical token. Names borrow from the source text.
+#[derive(Clone, Copy, PartialEq, Eq, Debug)]
+pub enum Token<'a> {
     /// An identifier: instruction mnemonic, register, or label name.
-    Ident(String),
+    Ident(&'a str),
     /// An integer literal (decimal or `0x` hexadecimal).
     Number(u64),
-    /// A dot-directive such as `.entry`, `.reg`, `.public`, `.secret`.
-    Directive(String),
+    /// A dot-directive such as `.entry`, `.reg`, `.public`, `.secret`
+    /// (the name without its dot).
+    Directive(&'a str),
     /// `:`
     Colon,
     /// `,`
@@ -53,7 +54,7 @@ pub enum Token {
     Eof,
 }
 
-impl fmt::Display for Token {
+impl fmt::Display for Token<'_> {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         match self {
             Token::Ident(s) => write!(f, "identifier `{s}`"),
@@ -74,10 +75,10 @@ impl fmt::Display for Token {
 }
 
 /// A token with its source position.
-#[derive(Clone, PartialEq, Eq, Debug)]
-pub struct Spanned {
+#[derive(Clone, Copy, PartialEq, Eq, Debug)]
+pub struct Spanned<'a> {
     /// The token.
-    pub token: Token,
+    pub token: Token<'a>,
     /// Where it starts.
     pub pos: Pos,
 }

@@ -9,7 +9,7 @@ use crate::value::Pc;
 use std::fmt;
 
 /// A machine configuration.
-#[derive(Clone, PartialEq, Eq, Debug)]
+#[derive(Clone, PartialEq, Eq, Hash, Debug)]
 pub struct Config {
     /// The register map `ρ`.
     pub regs: RegFile,

@@ -61,7 +61,7 @@ impl fmt::Display for Operand {
 ///
 /// As in the paper, every non-branching instruction carries the program
 /// point `n'` of its successor explicitly; the assembler fills these in.
-#[derive(Clone, PartialEq, Eq, Debug)]
+#[derive(Clone, PartialEq, Eq, Hash, Debug)]
 pub enum Instr {
     /// `(r = op(op, r⃗v, n'))` — arithmetic operation.
     Op {
@@ -232,7 +232,7 @@ impl fmt::Display for Instr {
 
 /// A program: the instruction-space part of the paper's `µ`, a partial map
 /// from program points to physical instructions.
-#[derive(Clone, PartialEq, Eq, Debug, Default)]
+#[derive(Clone, PartialEq, Eq, Hash, Debug, Default)]
 pub struct Program {
     instrs: BTreeMap<Pc, Instr>,
     /// The entry program point (`n` of initial configurations).

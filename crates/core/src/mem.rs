@@ -13,7 +13,7 @@ use std::fmt;
 /// space in [`crate::instr::Program`] and data here. Reads of unmapped
 /// addresses yield public zero (memory is zero-initialized), which keeps
 /// every schedule's behaviour total on loads.
-#[derive(Clone, PartialEq, Eq, Debug, Default)]
+#[derive(Clone, PartialEq, Eq, Hash, Debug, Default)]
 pub struct Memory {
     map: BTreeMap<Word, Val>,
 }

@@ -89,7 +89,7 @@ pub mod names {
 /// The register file `ρ : R ⇀ V`, a partial map from names to labeled
 /// values. Reads of unmapped registers yield public zero, mirroring the
 /// examples which leave most registers implicit.
-#[derive(Clone, PartialEq, Eq, Debug, Default)]
+#[derive(Clone, PartialEq, Eq, Hash, Debug, Default)]
 pub struct RegFile {
     map: BTreeMap<Reg, Val>,
 }

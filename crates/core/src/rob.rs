@@ -28,7 +28,7 @@ use std::hash::Hash;
 /// machine of the `pitchfork` crate can reuse it with symbolic transient
 /// instructions. Bare `Rob` is the concrete buffer of the reference
 /// semantics.
-#[derive(Clone, PartialEq, Eq, Debug)]
+#[derive(Clone, PartialEq, Eq, Hash, Debug)]
 pub struct Rob<T = Transient> {
     base: usize,
     /// Each entry with its element hash `sip128(&(index, entry))`.

@@ -526,8 +526,26 @@ impl<'p> Explorer<'p> {
     }
 
     /// The Definition B.18 continuations available in `state`.
+    ///
+    /// While the buffer holds a fence, nothing younger may execute until
+    /// it retires, so fetching past it would only reach continuations
+    /// that fail with `FenceBlocked` and drop the path. The path drains
+    /// up to and through the fence instead; fetch steps emit no
+    /// observation, so delaying them loses none. Since nothing is ever
+    /// fetched past a fence, an in-flight fence is the youngest entry,
+    /// and checking that one entry suffices.
     pub(crate) fn continuations(&self, state: &SymState) -> Vec<Cont> {
-        let fetchable = self.machine.program.fetch(state.pc).is_some();
+        let fence_in_flight = state
+            .rob
+            .max()
+            .and_then(|youngest| state.rob.get(youngest))
+            .is_some_and(SymTransient::is_fence);
+        debug_assert_eq!(
+            fence_in_flight,
+            state.rob.iter().any(|(_, t)| t.is_fence()),
+            "an in-flight fence must be the youngest entry"
+        );
+        let fetchable = !fence_in_flight && self.machine.program.fetch(state.pc).is_some();
         if fetchable {
             let instr = self.machine.program.fetch(state.pc).expect("checked");
             let needed = match instr {

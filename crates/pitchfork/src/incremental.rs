@@ -1,21 +1,26 @@
-//! Incremental re-analysis: program-region fingerprints, persisted
-//! baselines, and the diff planner behind `pitchfork ci-gate`.
+//! Incremental re-analysis: entry fingerprints, persisted baselines,
+//! and the diff planner behind `pitchfork ci-gate`.
 //!
 //! A CI gate re-checks the same corpus on every commit, but a commit
 //! touches one or two entries — re-exploring the other twenty from
 //! scratch is pure waste. This module makes the re-run proportional to
 //! the diff:
 //!
-//! * [`block_hashes`] / [`config_tag`] / [`entry_fingerprint`] — a
-//!   stable fingerprint per corpus entry, built from each basic block's
-//!   instruction text plus the analysis configuration (bound, mode,
-//!   strategy, budgets, symbolized registers). Re-parsing an unchanged
-//!   file reproduces the fingerprint bit-for-bit; editing a single
-//!   instruction changes its block's hash and therefore the entry
-//!   fingerprint.
-//! * [`BaselineManifest`] — fingerprints and verdict summaries from a
-//!   previous run, persisted as line-oriented JSON next to the pruned
-//!   warm-start snapshot ([`save_baseline`] writes both).
+//! * [`config_tag`] / [`entry_fingerprint`] — a stable fingerprint per
+//!   corpus entry: one FNV-1a 64 pass, fed through `#[derive(Hash)]`,
+//!   over the assembled program, its whole initial configuration
+//!   (registers, memory values and their labels, entry point) and a tag
+//!   over the analysis options (bound, mode, strategy, budgets,
+//!   symbolized registers, [`EXPLORER_SEMANTICS`]). The tag is computed
+//!   once per (bound, symbolized-register set). Re-assembling an
+//!   unchanged file reproduces the fingerprint bit-for-bit; editing one
+//!   instruction, or one `.reg`, `.public` or `.secret` line, moves it.
+//! * [`BaselineManifest`] — one record per entry from a previous run,
+//!   indexed by name: the fingerprint plus the verdict summary (verdict,
+//!   states, schedules, strategy, truncation) from which
+//!   [`BaselineEntry::line`] re-renders the entry's report line.
+//!   Persisted as line-oriented JSON next to the pruned warm-start
+//!   snapshot ([`save_baseline`] writes both).
 //! * [`plan_entry`] — the diff planner: classify each entry as
 //!   [`EntryPlan::Unchanged`] (replay the baseline verdict, zero
 //!   exploration), [`EntryPlan::Dirty`] (re-explore against the warm
@@ -34,24 +39,28 @@ use crate::batch::BatchItem;
 use crate::detector::DetectorOptions;
 use crate::protocol::Json;
 use crate::report::{ExploreStats, Verdict};
-use sct_core::{Instr, Pc, Program, Reg};
-use std::collections::{BTreeMap, BTreeSet};
+use sct_core::{Config, Program, Reg};
+use std::collections::HashMap;
 use std::fmt;
+use std::hash::{Hash, Hasher};
 use std::path::Path;
 use std::time::Instant;
 
-// ----- FNV-1a 64 ----------------------------------------------------------
+// ----- Fingerprints -------------------------------------------------------
 
 const FNV_OFFSET: u64 = 0xcbf2_9ce4_8422_2325;
 const FNV_PRIME: u64 = 0x0000_0100_0000_01b3;
 
+/// FNV-1a 64, as the [`Hasher`] that `#[derive(Hash)]` feeds.
 struct Fnv(u64);
 
 impl Fnv {
     fn new() -> Self {
         Fnv(FNV_OFFSET)
     }
+}
 
+impl Hasher for Fnv {
     fn write(&mut self, bytes: &[u8]) {
         for &b in bytes {
             self.0 ^= b as u64;
@@ -59,155 +68,77 @@ impl Fnv {
         }
     }
 
-    fn write_u64(&mut self, v: u64) {
-        self.write(&v.to_le_bytes());
-    }
-
     fn finish(&self) -> u64 {
         self.0
     }
 }
 
-// ----- Region fingerprints ------------------------------------------------
-
-/// Hash every basic block of `program`: `(leader pc, FNV-1a 64 over the
-/// block's `(pc, instruction text)` sequence)`, sorted by leader.
+/// The version of the explorer's semantics, hashed into every
+/// [`config_tag`]. Bump it whenever the explorer can reach a different
+/// verdict for the same program and options, so that no baseline
+/// verdict computed by an older engine replays.
 ///
-/// Leaders are the entry point, every branch/call target, and every
-/// program point with a static in-degree other than one; a block runs
-/// from its leader along explicit successor points until the next
-/// leader or a terminator. The partition only has to be *stable* (the
-/// same program always hashes the same way) and *sensitive* (any
-/// single-instruction edit lands in some block's hash) — it is not used
-/// for codegen, so unreachable instructions simply become their own
-/// single-instruction blocks.
-pub fn block_hashes(program: &Program) -> Vec<(Pc, u64)> {
-    let mut preds: BTreeMap<Pc, usize> = BTreeMap::new();
-    let mut leaders: BTreeSet<Pc> = BTreeSet::new();
-    leaders.insert(program.entry);
-    for (_, instr) in program.iter() {
-        let succs: Vec<Pc> = match instr {
-            Instr::Br { tru, fls, .. } => {
-                leaders.insert(*tru);
-                leaders.insert(*fls);
-                vec![*tru, *fls]
-            }
-            Instr::Call { callee, ret } => {
-                leaders.insert(*callee);
-                leaders.insert(*ret);
-                vec![*callee, *ret]
-            }
-            _ => instr.next().into_iter().collect(),
-        };
-        for s in succs {
-            *preds.entry(s).or_insert(0) += 1;
-        }
-    }
-    for (pc, _) in program.iter() {
-        if preds.get(&pc).copied().unwrap_or(0) != 1 {
-            leaders.insert(pc);
-        }
-    }
-
-    let mut visited: BTreeSet<Pc> = BTreeSet::new();
-    let mut blocks = Vec::new();
-    for &leader in &leaders {
-        if program.fetch(leader).is_none() || visited.contains(&leader) {
-            continue;
-        }
-        let mut hash = Fnv::new();
-        let mut pc = leader;
-        while let Some(instr) = program.fetch(pc) {
-            visited.insert(pc);
-            hash.write_u64(pc);
-            hash.write(instr.to_string().as_bytes());
-            match instr.next() {
-                Some(n)
-                    if !leaders.contains(&n)
-                        && !visited.contains(&n)
-                        && program.fetch(n).is_some() =>
-                {
-                    pc = n;
-                }
-                _ => break,
-            }
-        }
-        blocks.push((leader, hash.finish()));
-    }
-    // Anything not swept above (straight-line cycles unreachable from
-    // any leader) still has to land in the fingerprint: one block per
-    // orphan instruction.
-    for (pc, instr) in program.iter() {
-        if !visited.contains(&pc) {
-            let mut hash = Fnv::new();
-            hash.write_u64(pc);
-            hash.write(instr.to_string().as_bytes());
-            blocks.push((pc, hash.finish()));
-        }
-    }
-    blocks.sort_unstable_by_key(|&(pc, _)| pc);
-    blocks
-}
+/// 2: a path whose reorder buffer holds a fence drains through the
+/// fence instead of being dropped, and a load's adversarial address
+/// concretization probes the label the load would read, in-flight
+/// stores included. The older engine could call programs secure that
+/// leak on their sequential path.
+pub const EXPLORER_SEMANTICS: u64 = 2;
 
 /// Hash the parts of the analysis configuration that can change a
-/// verdict: bound, mode flags, budgets, strategy, machine parameters,
-/// and the symbolized-register set. Worker-thread count and the
-/// steal-timing seed are deliberately excluded — they never change
-/// verdicts (the parallel engine's determinism contract).
+/// verdict: [`EXPLORER_SEMANTICS`], bound, mode flags, budgets,
+/// strategy, machine parameters, and the symbolized-register set.
+/// Worker-thread count, the steal-timing seed and the wall-clock
+/// deadline are deliberately excluded — the first two never change
+/// verdicts (the parallel engine's determinism contract), and the gate
+/// never records a result the deadline cut short.
 pub fn config_tag(options: &DetectorOptions, bound: usize, symbolic: &[Reg]) -> u64 {
+    tag_under(EXPLORER_SEMANTICS, options, bound, symbolic)
+}
+
+/// [`config_tag`] as an engine with explorer semantics `semantics`
+/// computed it.
+fn tag_under(semantics: u64, options: &DetectorOptions, bound: usize, symbolic: &[Reg]) -> u64 {
     let e = &options.explorer;
     let mut h = Fnv::new();
-    h.write_u64(bound as u64);
-    h.write(&[
-        e.forwarding_hazards as u8,
-        e.alias_prediction as u8,
-        e.jmpi_mistraining as u8,
-        e.dedup_states as u8,
-        e.stop_path_on_violation as u8,
-    ]);
-    h.write_u64(e.jmpi_target_cap as u64);
-    h.write_u64(e.max_states as u64);
-    h.write_u64(e.max_violations as u64);
-    h.write(e.strategy.name().as_bytes());
-    h.write(format!("{:?}", options.params).as_bytes());
-    for r in symbolic {
-        h.write_u64(r.0 as u64);
-    }
+    (semantics, bound, e.strategy.name(), symbolic).hash(&mut h);
+    (
+        e.forwarding_hazards,
+        e.alias_prediction,
+        e.jmpi_mistraining,
+        e.dedup_states,
+        e.stop_path_on_violation,
+        e.jmpi_target_cap,
+        e.max_states,
+        e.max_violations,
+    )
+        .hash(&mut h);
+    format!("{:?}", options.params).hash(&mut h);
     h.finish()
 }
 
-/// Combine a program's block hashes with its configuration tag into the
-/// per-entry fingerprint the baseline manifest is keyed by.
-pub fn entry_fingerprint(blocks: &[(Pc, u64)], tag: u64) -> u64 {
+/// The per-entry fingerprint the baseline manifest is keyed by: the
+/// program, its whole initial configuration, and the entry's
+/// [`config_tag`].
+pub fn entry_fingerprint(program: &Program, config: &Config, tag: u64) -> u64 {
     let mut h = Fnv::new();
-    h.write_u64(tag);
-    h.write_u64(blocks.len() as u64);
-    for &(pc, hash) in blocks {
-        h.write_u64(pc);
-        h.write_u64(hash);
-    }
+    (tag, program, config).hash(&mut h);
     h.finish()
 }
 
 // ----- The baseline manifest ----------------------------------------------
 
 /// One entry of a [`BaselineManifest`]: the fingerprint a verdict was
-/// computed under, the per-block hashes (so a re-run can say *how much*
-/// changed), and the verdict summary needed to replay the entry without
-/// exploring anything.
+/// computed under and the verdict summary needed to replay the entry
+/// without exploring anything.
 #[derive(Clone, Debug, PartialEq, Eq)]
 pub struct BaselineEntry {
     /// The corpus entry / file name the fingerprint belongs to.
     pub name: String,
     /// [`entry_fingerprint`] of the program + configuration.
     pub fingerprint: u64,
-    /// [`block_hashes`] of the program (sorted by leader pc).
-    pub blocks: Vec<(Pc, u64)>,
     /// The baseline verdict.
     pub verdict: Verdict,
-    /// The exact per-file report line the baseline run printed
-    /// (replayed byte-identically for unchanged entries).
-    pub line: String,
     /// States the baseline exploration expanded (what a replay skips).
     pub states: usize,
     /// Complete schedules the baseline exploration ran.
@@ -216,6 +147,22 @@ pub struct BaselineEntry {
     pub strategy: String,
     /// Whether the baseline exploration hit its budget.
     pub truncated: bool,
+}
+
+impl BaselineEntry {
+    /// The per-file report line the baseline run printed, re-rendered
+    /// from the record's own fields by [`crate::fleet::report_line`]
+    /// (so a replay prints it byte-identically).
+    pub fn line(&self) -> String {
+        crate::fleet::report_line(
+            &self.name,
+            self.verdict,
+            self.states,
+            self.schedules,
+            &self.strategy,
+            self.truncated,
+        )
+    }
 }
 
 /// Why a baseline manifest could not be read.
@@ -248,17 +195,23 @@ impl From<std::io::Error> for BaselineError {
     }
 }
 
-/// Fingerprints and verdict summaries from a previous run, persisted as
-/// line-oriented JSON (a header line, then one object per entry) so the
-/// gate's inputs stay greppable and diffable in CI artifacts.
+/// Fingerprints and verdict summaries from a previous run, in insertion
+/// order and indexed by name, persisted as line-oriented JSON (a header
+/// line, then one object per entry) so the gate's inputs stay greppable
+/// and diffable in CI artifacts.
 #[derive(Clone, Debug, Default, PartialEq, Eq)]
 pub struct BaselineManifest {
     entries: Vec<BaselineEntry>,
+    /// Entry name → index into `entries`.
+    by_name: HashMap<String, usize>,
 }
 
 /// Manifest format version (bumped on incompatible layout changes; an
 /// unknown version is rejected and the baseline rebuilt from scratch).
-pub const BASELINE_VERSION: u64 = 1;
+///
+/// 2: one whole-entry fingerprint per record, no per-block hashes, and
+/// no stored report line.
+pub const BASELINE_VERSION: u64 = 2;
 
 impl BaselineManifest {
     /// File name of the manifest inside a `--baseline` directory.
@@ -278,14 +231,17 @@ impl BaselineManifest {
 
     /// The entry for `name`, if the baseline has one.
     pub fn get(&self, name: &str) -> Option<&BaselineEntry> {
-        self.entries.iter().find(|e| e.name == name)
+        self.by_name.get(name).map(|&i| &self.entries[i])
     }
 
     /// Insert or replace the entry for `entry.name`.
     pub fn upsert(&mut self, entry: BaselineEntry) {
-        match self.entries.iter_mut().find(|e| e.name == entry.name) {
-            Some(slot) => *slot = entry,
-            None => self.entries.push(entry),
+        match self.by_name.get(&entry.name) {
+            Some(&i) => self.entries[i] = entry,
+            None => {
+                self.by_name.insert(entry.name.clone(), self.entries.len());
+                self.entries.push(entry);
+            }
         }
     }
 
@@ -305,21 +261,12 @@ impl BaselineManifest {
                 Verdict::Insecure { witnesses } => ("insecure", witnesses, 0),
                 Verdict::Unknown { explored } => ("unknown", 0, explored),
             };
-            let blocks = e
-                .blocks
-                .iter()
-                .map(|&(pc, h)| {
-                    Json::Arr(vec![Json::Int(pc as i128), Json::Int(h as i128)])
-                })
-                .collect();
             Json::Obj(vec![
                 ("entry".into(), Json::Str(e.name.clone())),
                 ("fp".into(), Json::Int(e.fingerprint as i128)),
-                ("blocks".into(), Json::Arr(blocks)),
                 ("verdict".into(), Json::Str(kind.into())),
                 ("witnesses".into(), Json::Int(witnesses as i128)),
                 ("explored".into(), Json::Int(explored as i128)),
-                ("line".into(), Json::Str(e.line.clone())),
                 ("states".into(), Json::Int(e.states as i128)),
                 ("schedules".into(), Json::Int(e.schedules as i128)),
                 ("strategy".into(), Json::Str(e.strategy.clone())),
@@ -334,31 +281,24 @@ impl BaselineManifest {
     /// Parse the line-oriented JSON format (tolerant of unknown object
     /// fields, like the wire protocol).
     pub fn from_text(text: &str) -> Result<BaselineManifest, BaselineError> {
+        let parse_err = |e: crate::protocol::ProtocolError| BaselineError::Parse(e.to_string());
         let mut lines = text.lines().filter(|l| !l.trim().is_empty());
         let header = match lines.next() {
-            Some(l) => Json::parse(l).map_err(|e| BaselineError::Parse(e.to_string()))?,
+            Some(l) => Json::parse(l).map_err(parse_err)?,
             None => return Ok(BaselineManifest::empty()),
         };
         if header.str_field("manifest").ok() != Some("pitchfork-baseline") {
             return Err(BaselineError::Parse("missing manifest header".into()));
         }
-        let version = header
-            .u64_field("version")
-            .map_err(|e| BaselineError::Parse(e.to_string()))?;
+        let version = header.u64_field("version").map_err(parse_err)?;
         if version != BASELINE_VERSION {
             return Err(BaselineError::Version(version));
         }
         let mut manifest = BaselineManifest::empty();
         for line in lines {
-            let json = Json::parse(line).map_err(|e| BaselineError::Parse(e.to_string()))?;
-            let field = |k: &str| -> Result<u64, BaselineError> {
-                json.u64_field(k)
-                    .map_err(|e| BaselineError::Parse(e.to_string()))
-            };
-            let verdict = match json
-                .str_field("verdict")
-                .map_err(|e| BaselineError::Parse(e.to_string()))?
-            {
+            let json = Json::parse(line).map_err(parse_err)?;
+            let field = |k: &str| json.u64_field(k).map_err(parse_err);
+            let verdict = match json.str_field("verdict").map_err(parse_err)? {
                 "secure" => Verdict::Secure,
                 "insecure" => Verdict::Insecure {
                     witnesses: field("witnesses")? as usize,
@@ -370,51 +310,15 @@ impl BaselineManifest {
                     return Err(BaselineError::Parse(format!("unknown verdict {other:?}")))
                 }
             };
-            let mut blocks = Vec::new();
-            for item in json
-                .arr_field("blocks")
-                .map_err(|e| BaselineError::Parse(e.to_string()))?
-            {
-                match item {
-                    Json::Arr(pair) => match pair.as_slice() {
-                        [Json::Int(pc), Json::Int(h)]
-                            if *pc >= 0
-                                && *pc <= u64::MAX as i128
-                                && *h >= 0
-                                && *h <= u64::MAX as i128 =>
-                        {
-                            blocks.push((*pc as Pc, *h as u64));
-                        }
-                        _ => {
-                            return Err(BaselineError::Parse(
-                                "block hash must be a [pc, hash] pair".into(),
-                            ))
-                        }
-                    },
-                    _ => {
-                        return Err(BaselineError::Parse(
-                            "block hash must be a [pc, hash] pair".into(),
-                        ))
-                    }
-                }
-            }
-            let str_of = |k: &str| -> Result<String, BaselineError> {
-                json.str_field(k)
-                    .map(str::to_string)
-                    .map_err(|e| BaselineError::Parse(e.to_string()))
-            };
+            let str_of = |k: &str| json.str_field(k).map(str::to_string).map_err(parse_err);
             manifest.upsert(BaselineEntry {
                 name: str_of("entry")?,
                 fingerprint: field("fp")?,
-                blocks,
                 verdict,
-                line: str_of("line")?,
                 states: field("states")? as usize,
                 schedules: field("schedules")? as usize,
                 strategy: str_of("strategy")?,
-                truncated: json
-                    .bool_field("truncated")
-                    .map_err(|e| BaselineError::Parse(e.to_string()))?,
+                truncated: json.bool_field("truncated").map_err(parse_err)?,
             });
         }
         Ok(manifest)
@@ -467,45 +371,21 @@ pub enum EntryPlan {
     /// Fingerprint matches the baseline: replay the recorded verdict,
     /// explore nothing.
     Unchanged,
-    /// The baseline knows the entry but the fingerprint moved:
-    /// re-explore against the warm memo.
-    Dirty {
-        /// Blocks whose hash differs from (or is absent in) the
-        /// baseline, plus baseline blocks that disappeared.
-        changed_blocks: usize,
-    },
+    /// The baseline knows the entry but the fingerprint moved (the
+    /// program, its initial configuration, the options or the explorer
+    /// semantics changed): re-explore against the warm memo.
+    Dirty,
     /// The baseline has never seen this entry.
     New,
 }
 
-/// Classify one entry against the baseline.
-pub fn plan_entry(
-    baseline: &BaselineManifest,
-    name: &str,
-    fingerprint: u64,
-    blocks: &[(Pc, u64)],
-) -> EntryPlan {
-    let old = match baseline.get(name) {
-        Some(e) => e,
-        None => return EntryPlan::New,
-    };
-    if old.fingerprint == fingerprint {
-        return EntryPlan::Unchanged;
-    }
-    let old_blocks: BTreeMap<Pc, u64> = old.blocks.iter().copied().collect();
-    let new_blocks: BTreeMap<Pc, u64> = blocks.iter().copied().collect();
-    let changed = new_blocks
-        .iter()
-        .filter(|(pc, h)| old_blocks.get(pc) != Some(h))
-        .count()
-        + old_blocks
-            .keys()
-            .filter(|pc| !new_blocks.contains_key(pc))
-            .count();
-    EntryPlan::Dirty {
-        // A pure config change moves the fingerprint with zero block
-        // edits; round up so "dirty" always reports at least one.
-        changed_blocks: changed.max(1),
+/// Classify one entry with fingerprint `fingerprint` against its
+/// baseline record `old`, if it has one.
+pub fn plan_entry(old: Option<&BaselineEntry>, fingerprint: u64) -> EntryPlan {
+    match old {
+        None => EntryPlan::New,
+        Some(e) if e.fingerprint == fingerprint => EntryPlan::Unchanged,
+        Some(_) => EntryPlan::Dirty,
     }
 }
 
@@ -619,7 +499,6 @@ enum Planned<'a> {
         name: String,
         plan: EntryPlan,
         fingerprint: u64,
-        blocks: Vec<(Pc, u64)>,
         old: Option<&'a BaselineEntry>,
     },
 }
@@ -635,23 +514,30 @@ impl<'a> IncrementalGate<'a> {
         items: impl IntoIterator<Item = BatchItem>,
     ) -> (IncrementalGate<'a>, Vec<BatchItem>) {
         let (start, mut entries, mut dirty) = (Instant::now(), Vec::new(), Vec::new());
+        // One config tag per (bound, symbolized-register set).
+        let mut tags: Vec<(usize, Vec<Reg>, u64)> = Vec::new();
         for item in items {
             let bound = item.bound.unwrap_or(options.explorer.spec_bound);
-            let blocks = block_hashes(&item.program);
-            let fingerprint =
-                entry_fingerprint(&blocks, config_tag(options, bound, &item.symbolic));
-            let plan = plan_entry(baseline, &item.name, fingerprint, &blocks);
+            let tag = match tags.iter().find(|(b, s, _)| *b == bound && *s == item.symbolic) {
+                Some(&(_, _, tag)) => tag,
+                None => {
+                    let tag = config_tag(options, bound, &item.symbolic);
+                    tags.push((bound, item.symbolic.clone(), tag));
+                    tag
+                }
+            };
+            let fingerprint = entry_fingerprint(&item.program, &item.config, tag);
             let old = baseline.get(&item.name);
-            match (plan, old) {
+            match (plan_entry(old, fingerprint), old) {
                 (EntryPlan::Unchanged, Some(old)) => {
                     if sct_telemetry::enabled() {
                         sct_telemetry::counter(sct_telemetry::names::INCR_REUSE_TOTAL).inc();
                     }
                     entries.push(Planned::Replayed(old));
                 }
-                _ => {
+                (plan, _) => {
                     let name = item.name.clone();
-                    entries.push(Planned::Fresh { name, plan, fingerprint, blocks, old });
+                    entries.push(Planned::Fresh { name, plan, fingerprint, old });
                     dirty.push(item);
                 }
             }
@@ -688,14 +574,14 @@ impl<'a> IncrementalGate<'a> {
                         name: old.name.clone(),
                         plan: EntryPlan::Unchanged,
                         verdict: old.verdict,
-                        line: old.line.clone(),
+                        line: old.line(),
                         states: 0,
                         flip: None,
                         unrecorded: None,
                     };
                     (outcome, Some(old.clone()))
                 }
-                Planned::Fresh { name, plan, fingerprint, blocks, old } => {
+                Planned::Fresh { name, plan, fingerprint, old } => {
                     let Some((verdict, stats, clamped)) = results.next() else {
                         continue;
                     };
@@ -704,39 +590,36 @@ impl<'a> IncrementalGate<'a> {
                     }
                     report.reanalyzed += 1;
                     report.states_explored += stats.states;
-                    let line = crate::fleet::report_line(
-                        &name,
+                    let fresh = BaselineEntry {
+                        name,
+                        fingerprint,
                         verdict,
-                        stats.states,
-                        stats.schedules,
-                        stats.strategy,
-                        stats.truncated,
-                    );
+                        states: stats.states,
+                        schedules: stats.schedules,
+                        strategy: stats.strategy.to_string(),
+                        truncated: stats.truncated,
+                    };
                     let unrecorded = if clamped {
                         Some("state budget clamped by the daemon")
                     } else {
                         stats.deadline_exceeded.then_some("cut short by its deadline")
                     };
-                    let record = match unrecorded {
-                        Some(_) => old.cloned(),
-                        None => Some(BaselineEntry {
-                            name: name.clone(),
-                            fingerprint,
-                            blocks,
-                            verdict,
-                            line: line.clone(),
-                            states: stats.states,
-                            schedules: stats.schedules,
-                            strategy: stats.strategy.to_string(),
-                            truncated: stats.truncated,
-                        }),
-                    };
                     let flip = old
                         .map(|e| e.verdict)
                         .filter(|o| std::mem::discriminant(o) != std::mem::discriminant(&verdict));
-                    let states = stats.states;
-                    let outcome =
-                        IncrementalOutcome { name, plan, verdict, line, states, flip, unrecorded };
+                    let outcome = IncrementalOutcome {
+                        name: fresh.name.clone(),
+                        plan,
+                        verdict,
+                        line: fresh.line(),
+                        states: stats.states,
+                        flip,
+                        unrecorded,
+                    };
+                    let record = match unrecorded {
+                        Some(_) => old.cloned(),
+                        None => Some(fresh),
+                    };
                     (outcome, record)
                 }
             };
@@ -753,14 +636,9 @@ impl<'a> IncrementalGate<'a> {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::{AnalysisSession, BatchItem};
     use sct_asm::assemble;
-    use sct_core::examples::fig1;
-
-    fn fig1_blocks() -> (Program, Vec<(Pc, u64)>) {
-        let (p, _) = fig1();
-        let blocks = block_hashes(&p);
-        (p, blocks)
-    }
+    use sct_core::reg::names::RA;
 
     const SOURCE: &str = "\
 .entry start
@@ -774,38 +652,56 @@ out:
     ret
 ";
 
+    fn fingerprint_of(source: &str, tag: u64) -> u64 {
+        let asm = assemble(source).expect("assembles");
+        entry_fingerprint(&asm.program, &asm.config, tag)
+    }
+
+    fn record(name: &str, fingerprint: u64, verdict: Verdict) -> BaselineEntry {
+        BaselineEntry {
+            name: name.into(),
+            fingerprint,
+            verdict,
+            states: 2,
+            schedules: 1,
+            strategy: "lifo".into(),
+            truncated: false,
+        }
+    }
+
     #[test]
     fn fingerprint_stable_under_reparse() {
-        let p1 = assemble(SOURCE).expect("assembles").program;
-        let p2 = assemble(SOURCE).expect("assembles again").program;
-        assert_eq!(block_hashes(&p1), block_hashes(&p2));
-        let opts = DetectorOptions::v1_mode(16);
-        let tag = config_tag(&opts, 16, &[]);
-        assert_eq!(
-            entry_fingerprint(&block_hashes(&p1), tag),
-            entry_fingerprint(&block_hashes(&p2), tag),
-        );
+        let tag = config_tag(&DetectorOptions::v1_mode(16), 16, &[]);
+        assert_eq!(fingerprint_of(SOURCE, tag), fingerprint_of(SOURCE, tag));
+        assert_ne!(fingerprint_of(SOURCE, tag), fingerprint_of(SOURCE, tag ^ 1));
     }
 
     #[test]
     fn fingerprint_moves_on_single_instruction_edit() {
-        let base = assemble(SOURCE).expect("assembles").program;
-        let edited = assemble(&SOURCE.replace("gt(4, ra)", "gt(5, ra)"))
-            .expect("assembles")
-            .program;
         let tag = config_tag(&DetectorOptions::v1_mode(16), 16, &[]);
-        assert_ne!(
-            entry_fingerprint(&block_hashes(&base), tag),
-            entry_fingerprint(&block_hashes(&edited), tag),
-        );
-        // Exactly one region moved.
-        let before: BTreeMap<Pc, u64> = block_hashes(&base).into_iter().collect();
-        let after: BTreeMap<Pc, u64> = block_hashes(&edited).into_iter().collect();
-        let changed = after
-            .iter()
-            .filter(|(pc, h)| before.get(pc) != Some(h))
-            .count();
-        assert_eq!(changed, 1, "{before:?} vs {after:?}");
+        let base = fingerprint_of(SOURCE, tag);
+        for (from, to) in [
+            ("gt(4, ra)", "gt(5, ra)"),
+            ("[0x50, rb]", "[0x51, rb]"),
+            ("rc =", "rd ="),
+        ] {
+            assert_ne!(base, fingerprint_of(&SOURCE.replace(from, to), tag), "{from} -> {to}");
+        }
+    }
+
+    #[test]
+    fn fingerprint_moves_on_initial_configuration_edits() {
+        let tag = config_tag(&DetectorOptions::v1_mode(16), 16, &[]);
+        let with_table = SOURCE.replace(".reg ra = 9\n", ".reg ra = 9\n.public 0x40 = 1, 2\n");
+        let base = fingerprint_of(&with_table, tag);
+        for (from, to) in [
+            (".public 0x40", ".secret 0x40"),
+            ("= 1, 2", "= 1, 3"),
+            (".reg ra = 9", ".reg ra = 8"),
+            (".reg ra = 9", ".reg ra = 9@sec"),
+        ] {
+            assert_ne!(base, fingerprint_of(&with_table.replace(from, to), tag), "{from} -> {to}");
+        }
     }
 
     #[test]
@@ -814,9 +710,10 @@ out:
         let v4 = DetectorOptions::v4_mode(16);
         assert_ne!(config_tag(&v1, 16, &[]), config_tag(&v1, 20, &[]));
         assert_ne!(config_tag(&v1, 16, &[]), config_tag(&v4, 16, &[]));
+        assert_ne!(config_tag(&v1, 16, &[]), config_tag(&v1, 16, &[RA]));
         assert_ne!(
             config_tag(&v1, 16, &[]),
-            config_tag(&v1, 16, &[sct_core::reg::names::RA]),
+            tag_under(EXPLORER_SEMANTICS - 1, &v1, 16, &[]),
         );
         // Thread count must NOT move the fingerprint.
         let mut threaded = v1;
@@ -826,43 +723,42 @@ out:
 
     #[test]
     fn manifest_round_trips_through_text() {
-        let (p, blocks) = fig1_blocks();
-        let tag = config_tag(&DetectorOptions::v1_mode(16), 16, &[]);
         let mut m = BaselineManifest::empty();
+        m.upsert(record("fig1", u64::MAX, Verdict::Insecure { witnesses: 2 }));
         m.upsert(BaselineEntry {
-            name: "fig1".into(),
-            fingerprint: entry_fingerprint(&blocks, tag),
-            blocks: blocks.clone(),
-            verdict: Verdict::Insecure { witnesses: 2 },
-            line: "fig1: VIOLATION (10 states, 4 schedules explored, strategy lifo)".into(),
-            states: 10,
-            schedules: 4,
-            strategy: "lifo".into(),
-            truncated: false,
-        });
-        m.upsert(BaselineEntry {
-            name: "other".into(),
-            fingerprint: 7,
-            blocks: vec![(0, 1)],
-            verdict: Verdict::Unknown { explored: 99 },
-            line: "other: unknown (budget exhausted) (...)".into(),
             states: 99,
-            schedules: 1,
             strategy: "fifo".into(),
             truncated: true,
+            ..record("other \"quoted\"", 7, Verdict::Unknown { explored: 99 })
         });
-        let parsed = BaselineManifest::from_text(&m.to_text()).expect("round trip");
+        m.upsert(record("secure", 0, Verdict::Secure));
+        m.upsert(record("fig1", 3, Verdict::Secure));
+        let text = m.to_text();
+        let parsed = BaselineManifest::from_text(&text).expect("round trip");
         assert_eq!(parsed, m);
-        assert_eq!(parsed.get("fig1").unwrap().blocks, blocks);
-        let _ = p;
+        let names: Vec<&str> = parsed.entries().iter().map(|e| e.name.as_str()).collect();
+        assert_eq!(names, ["fig1", "other \"quoted\"", "secure"], "insertion order");
+        assert_eq!(parsed.get("fig1").map(|e| e.fingerprint), Some(3));
+        assert!(!text.contains("\"line\"") && !text.contains("\"blocks\""), "{text}");
+        assert_eq!(
+            parsed.get("other \"quoted\"").unwrap().line(),
+            "other \"quoted\": unknown (budget exhausted) \
+             (99 states, 1 schedules explored, strategy fifo, truncated)",
+        );
     }
 
     #[test]
     fn manifest_rejects_version_skew_and_garbage() {
-        let skew = "{\"manifest\":\"pitchfork-baseline\",\"version\":2,\"entries\":0}\n";
+        // A manifest in the previous format (per-block hashes, stored
+        // lines) is stale: rejected whole, so the gate runs cold.
+        let v1 = "{\"manifest\":\"pitchfork-baseline\",\"version\":1,\"entries\":1}\n\
+                  {\"entry\":\"x\",\"fp\":1,\"blocks\":[[1,2]],\"verdict\":\"secure\",\
+                  \"witnesses\":0,\"explored\":0,\"line\":\"x: secure (within bound) \
+                  (1 states, 1 schedules explored, strategy lifo)\",\"states\":1,\
+                  \"schedules\":1,\"strategy\":\"lifo\",\"truncated\":false}\n";
         assert!(matches!(
-            BaselineManifest::from_text(skew),
-            Err(BaselineError::Version(2)),
+            BaselineManifest::from_text(v1),
+            Err(BaselineError::Version(1)),
         ));
         assert!(BaselineManifest::from_text("not json\n").is_err());
         assert!(BaselineManifest::from_text("").unwrap().entries().is_empty());
@@ -870,43 +766,73 @@ out:
 
     #[test]
     fn planner_classifies_unchanged_dirty_and_new() {
-        let (_, blocks) = fig1_blocks();
-        let tag = config_tag(&DetectorOptions::v1_mode(16), 16, &[]);
-        let fp = entry_fingerprint(&blocks, tag);
         let mut m = BaselineManifest::empty();
-        m.upsert(BaselineEntry {
-            name: "fig1".into(),
-            fingerprint: fp,
-            blocks: blocks.clone(),
-            verdict: Verdict::Secure,
-            line: String::new(),
-            states: 1,
-            schedules: 1,
-            strategy: "lifo".into(),
-            truncated: false,
+        m.upsert(record("fig1", 42, Verdict::Secure));
+        assert_eq!(plan_entry(m.get("fig1"), 42), EntryPlan::Unchanged);
+        assert_eq!(plan_entry(m.get("missing"), 42), EntryPlan::New);
+        assert_eq!(plan_entry(m.get("fig1"), 43), EntryPlan::Dirty);
+    }
+
+    /// Item 1a: a `.public` table turned `.secret` moves the
+    /// fingerprint, so the gate re-analyses the entry and flags the leak
+    /// instead of replaying the recorded `secure`.
+    #[test]
+    fn a_label_only_edit_plans_dirty_and_is_flagged() {
+        let public = "\
+.entry start
+.reg ra = 0
+.public 0x40 = 1, 2
+.public 0x50 = 0, 0, 0
+start:
+    rb = load [0x40, ra]
+    rc = load [0x50, rb]
+";
+        let secret = public.replace(".public 0x40", ".secret 0x40");
+        let item = |src: &str| {
+            let asm = assemble(src).expect("assembles");
+            BatchItem::new("table", asm.program, asm.config).symbolize([RA])
+        };
+        let mut session = AnalysisSession::with_options(DetectorOptions::v1_mode(20));
+        let cold = session.analyze_incremental([item(public)], &BaselineManifest::empty());
+        assert_eq!(cold.outcomes[0].verdict, Verdict::Secure, "{}", cold.outcomes[0].line);
+
+        let edited = session.analyze_incremental([item(&secret)], &cold.manifest);
+        let o = &edited.outcomes[0];
+        assert_eq!(o.plan, EntryPlan::Dirty);
+        assert!(o.line.starts_with("table: VIOLATION"), "{}", o.line);
+        assert_eq!(edited.regressions().len(), 1);
+    }
+
+    /// A baseline written by an engine with older explorer semantics
+    /// never replays: its stale `secure` is re-analysed and becomes a
+    /// regression.
+    #[test]
+    fn an_entry_from_the_previous_explorer_semantics_reanalyzes() {
+        let asm = assemble(include_str!("../tests/fixtures/fence_then_leak.sasm")).unwrap();
+        let options = DetectorOptions::v1_mode(20);
+        let previous = tag_under(EXPLORER_SEMANTICS - 1, &options, 20, &[RA]);
+        let mut stale = BaselineManifest::empty();
+        stale.upsert(BaselineEntry {
+            schedules: 0,
+            ..record(
+                "fence_then_leak",
+                entry_fingerprint(&asm.program, &asm.config, previous),
+                Verdict::Secure,
+            )
         });
-        assert_eq!(plan_entry(&m, "fig1", fp, &blocks), EntryPlan::Unchanged);
-        assert_eq!(plan_entry(&m, "missing", fp, &blocks), EntryPlan::New);
-        let mut edited = blocks.clone();
-        edited[0].1 ^= 1;
-        let fp2 = entry_fingerprint(&edited, tag);
-        assert_eq!(
-            plan_entry(&m, "fig1", fp2, &edited),
-            EntryPlan::Dirty { changed_blocks: 1 },
-        );
-        // A config-only change still reads as dirty with one block.
-        let fp3 = entry_fingerprint(&blocks, tag ^ 1);
-        assert_eq!(
-            plan_entry(&m, "fig1", fp3, &blocks),
-            EntryPlan::Dirty { changed_blocks: 1 },
-        );
+        let item = BatchItem::new("fence_then_leak", asm.program, asm.config).symbolize([RA]);
+        let run = AnalysisSession::with_options(options).analyze_incremental([item], &stale);
+        assert_eq!((run.reused, run.reanalyzed), (0, 1));
+        assert_eq!(run.outcomes[0].plan, EntryPlan::Dirty);
+        assert!(run.outcomes[0].verdict.is_insecure(), "{}", run.outcomes[0].line);
+        assert_eq!(run.regressions().len(), 1, "the stale secure verdict flips");
     }
 
     #[test]
     fn regression_is_a_flip_to_insecure() {
         let insecure = IncrementalOutcome {
             name: "x".into(),
-            plan: EntryPlan::Dirty { changed_blocks: 1 },
+            plan: EntryPlan::Dirty,
             verdict: Verdict::Insecure { witnesses: 1 },
             line: String::new(),
             states: 5,

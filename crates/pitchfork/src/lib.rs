@@ -137,15 +137,23 @@
 //!
 //! The [`incremental`] module turns re-analysis of a mostly-unchanged
 //! corpus from linear to proportional-to-the-diff. Each entry gets a
-//! **fingerprint** ([`incremental::entry_fingerprint`]): a hash of its
-//! basic-block partition ([`incremental::block_hashes`]) combined with
-//! a [`incremental::config_tag`] over every option that can change a
-//! verdict — bound, mode, strategy, budgets, symbolized registers —
-//! and deliberately *excluding* `threads` and `steal_seed`, which the
-//! determinism contract guarantees never do. A passing run persists a
-//! [`BaselineManifest`] (one line-JSON record per entry: fingerprint,
-//! verdict, report line, exploration stats) next to a
-//! **reachability-pruned** cache snapshot
+//! structural **fingerprint** ([`incremental::entry_fingerprint`]):
+//! one FNV-1a pass, fed through `#[derive(Hash)]`, over the assembled
+//! program, its whole initial configuration (registers, memory values
+//! and their labels) and a [`incremental::config_tag`] over every
+//! option that can change a verdict — bound, mode, strategy, budgets,
+//! symbolized registers — plus the version of the explorer's own
+//! semantics ([`incremental::EXPLORER_SEMANTICS`]), and deliberately
+//! *excluding* `threads` and `steal_seed`, which the determinism
+//! contract guarantees never change one. So an edit to one instruction
+//! or to one `.reg`/`.public`/`.secret` line re-analyses the entry, and
+//! the first `ci-gate` run after an upgrade that changes the explorer's
+//! semantics re-analyses every entry once: no verdict of the older
+//! engine is replayed, and an entry it wrongly called secure fails the
+//! gate as a flip. A passing run persists a [`BaselineManifest`] (one
+//! line-JSON record per entry: name, fingerprint, verdict, states,
+//! schedules, strategy, truncation — the fields the report line is
+//! re-rendered from) next to a **reachability-pruned** cache snapshot
 //! (`sct_cache::save_rooted` keeps only arena nodes reachable from
 //! the memoized verdicts, so a months-old baseline doesn't ship every
 //! dead expression ever interned; the pruned-vs-unpruned equivalence
@@ -155,15 +163,16 @@
 //! baseline ([`incremental::plan_entry`] classifies each entry
 //! [`EntryPlan::Unchanged`] / [`EntryPlan::Dirty`] / [`EntryPlan::New`]),
 //! replays unchanged entries with **zero exploration** — their report
-//! lines are carried over byte-for-byte — and re-explores only the
-//! rest against the warm memo. The CLI packaging is a CI gate:
+//! lines are re-rendered byte-for-byte from the records — and
+//! re-explores only the rest against the warm memo. The CLI packaging
+//! is a CI gate:
 //!
 //! ```text
 //! $ pitchfork ci-gate --baseline .sct-baseline --bound 16 --symbolic ra \
 //!       crates/litmus/corpus/*.sasm
 //! crates/litmus/corpus/spectre_v1.sasm: VIOLATION (12 states, 3 schedules explored, strategy lifo)
 //! ...
-//! ci-gate: 23 entries — 22 replayed, 1 re-analyzed; 12 states explored, 374 skipped (96.9%)
+//! ci-gate: 23 entries — 22 replayed, 1 re-analyzed; 12 states explored, 384 skipped (97.0%)
 //! REGRESSION: crates/litmus/corpus/spectre_v1_fenced.sasm flipped secure (within bound) -> VIOLATION
 //! ci-gate: FAIL — 1 regression(s); baseline not promoted
 //! ```

@@ -21,6 +21,7 @@ use sct_core::{
     StepError,
 };
 use sct_symx::{Expr, Solver, SymVal};
+use std::collections::BTreeSet;
 
 /// A successor state produced by one symbolic step (already recorded
 /// into the state's schedule/trace).
@@ -210,27 +211,62 @@ impl<'p> SymMachine<'p> {
         }
     }
 
-    /// Adversarial address concretization for loads: the attacker
-    /// controls public inputs, so among the satisfying addresses prefer
-    /// one that lands on a secret-labeled memory cell — the choice that
-    /// maximizes leakage. (The paper's tool gets the same effect from
-    /// querying the solver about secret-region overlap before angr
+    /// Adversarial address concretization for the load at index `i`:
+    /// the attacker controls public inputs, so among the satisfying
+    /// addresses prefer one where the load reads a secret — the choice
+    /// that maximizes leakage. (The paper's tool gets the same effect
+    /// from querying the solver about secret-region overlap before angr
     /// concretizes.) Falls back to default concretization.
-    fn concretize_load_addr(&self, state: &mut SymState, args: &[SymVal]) -> (u64, Label) {
+    ///
+    /// What the load reads at an address is what [`Self::execute_load`]
+    /// would return there: the data of the youngest older store whose
+    /// address resolved to it, else memory. Probing committed memory
+    /// alone would pin the load to a secret cell that an in-flight store
+    /// has overwritten with a public value, and the pin would exclude
+    /// every address that leaks.
+    fn concretize_load_addr(
+        &self,
+        state: &mut SymState,
+        i: usize,
+        args: &[SymVal],
+    ) -> (u64, Label) {
         let label = Label::join_all(args.iter().map(|v| v.label));
         let expr = self.sym_addr_expr(args);
         if let Some(a) = expr.as_const() {
             return (a, label);
         }
         const PROBE_LIMIT: usize = 64;
-        let secret_cells: Vec<u64> = state
-            .mem
-            .iter()
-            .filter(|(_, v)| v.label.is_secret())
-            .map(|(a, _)| a)
-            .take(PROBE_LIMIT)
+        // Older stores with a resolved address, oldest first, with the
+        // label of their data (`None` while the data is pending: a load
+        // pinned there could not execute).
+        let stores: Vec<(u64, Option<Label>)> = state
+            .rob
+            .iter_below(i)
+            .filter_map(|(_, t)| {
+                let (a, _) = t.store_resolved_addr()?;
+                Some((a, t.store_resolved_data().map(|v| v.label)))
+            })
             .collect();
-        for s in secret_cells {
+        let reads_secret = |a: u64, in_memory: Label| {
+            match stores.iter().rev().find(|&&(s, _)| s == a) {
+                Some(&(_, data)) => data.is_some_and(Label::is_secret),
+                None => in_memory.is_secret(),
+            }
+        };
+        let mut secret_cells: BTreeSet<u64> = stores
+            .iter()
+            .map(|&(a, _)| a)
+            .filter(|&a| reads_secret(a, state.mem.read(a).label))
+            .collect();
+        secret_cells.extend(
+            state
+                .mem
+                .iter()
+                .filter(|&(a, v)| reads_secret(a, v.label))
+                .map(|(a, _)| a)
+                .take(PROBE_LIMIT),
+        );
+        for s in secret_cells.into_iter().take(PROBE_LIMIT) {
             let pin = Expr::app(OpCode::Eq, vec![expr, Expr::constant(s)]);
             let mut cs = state.constraints.clone();
             cs.push(pin);
@@ -533,7 +569,7 @@ impl<'p> SymMachine<'p> {
         self.check_no_fence_below(state, i)?;
         let vals = self.resolve_list(state, i, addr_ops)?;
         let mut st = state.clone();
-        let (a, la) = self.concretize_load_addr(&mut st, &vals);
+        let (a, la) = self.concretize_load_addr(&mut st, i, &vals);
         // max(j) < i with buf(j) = store(_, a)
         let mut matching: Option<(usize, Option<SymVal>)> = None;
         for (j, t) in st.rob.iter_below(i) {

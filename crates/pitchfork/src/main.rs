@@ -118,13 +118,14 @@ fn usage() -> ! {
     eprintln!("metric collection entirely.");
     eprintln!();
     eprintln!("ci-gate re-analyzes a corpus against the baseline saved in --baseline");
-    eprintln!("DIR: entries whose per-entry fingerprint (basic-block hashes + analysis");
-    eprintln!("config) is unchanged replay their recorded verdict lines byte-identically");
-    eprintln!("with zero exploration; dirty or new entries re-run against the baseline's");
-    eprintln!("warm-start snapshot. Exit 0 promotes the refreshed baseline, exit 3 means");
-    eprintln!("an entry flipped to insecure (the baseline is left untouched). With");
-    eprintln!("--connect the dirty and new entries run on the daemon, submitted with");
-    eprintln!("every fingerprinted option explicit: same output, same manifest.");
+    eprintln!("DIR: entries whose per-entry fingerprint (program + initial registers and");
+    eprintln!("memory + analysis config) is unchanged replay their recorded verdict lines");
+    eprintln!("byte-identically with zero exploration; dirty or new entries re-run");
+    eprintln!("against the baseline's warm-start snapshot. Exit 0 promotes the refreshed");
+    eprintln!("baseline, exit 3 means an entry flipped to insecure (the baseline is left");
+    eprintln!("untouched). With --connect the dirty and new entries run on the daemon,");
+    eprintln!("submitted with every fingerprinted option explicit: same output, same");
+    eprintln!("manifest.");
     eprintln!();
     eprintln!("Daemon mode (--serve) keeps one session resident: submissions share the");
     eprintln!("hash-consed arena and solver memo across clients, and the epoch-retire");
@@ -1136,9 +1137,17 @@ fn run_ci_gate(args: Vec<String>) -> ExitCode {
     };
     // Verdict lines to stdout — byte-identical to a batch run over the
     // same corpus (and to the baseline's own lines for replayed
-    // entries); bookkeeping to stderr so scripts can diff stdout.
+    // entries) — through one locked buffer; a closed stdout ends them
+    // quietly. Bookkeeping goes to stderr so scripts can diff stdout.
+    {
+        use std::io::Write as _;
+        let mut stdout = std::io::BufWriter::new(std::io::stdout().lock());
+        for o in &report.outcomes {
+            let _ = writeln!(stdout, "{}", o.line);
+        }
+        let _ = stdout.flush();
+    }
     for o in &report.outcomes {
-        outln!("{}", o.line);
         if let Some(why) = o.unrecorded {
             let record = match o.plan {
                 EntryPlan::New => "not recorded in the baseline",

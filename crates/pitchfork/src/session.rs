@@ -493,7 +493,7 @@ mod tests {
         let rebound = vec![BatchItem::with_bound("fig1", p.clone(), cfg.clone(), 4)];
         let dirty = session.analyze_incremental(rebound, &warm.manifest);
         assert_eq!(dirty.reanalyzed, 1);
-        assert!(matches!(dirty.outcomes[0].plan, EntryPlan::Dirty { .. }));
+        assert!(matches!(dirty.outcomes[0].plan, EntryPlan::Dirty));
     }
 
     #[test]

@@ -118,6 +118,63 @@ fn ci_gate_applies_the_deadline_and_records_nothing_it_cut_short() {
     let _ = std::fs::remove_dir_all(&dir);
 }
 
+/// A baseline in the version-1 format (per-block hashes, stored report
+/// lines) is rejected whole: the gate says why, analyses every entry
+/// cold — so a stale `secure` is never replayed — and promotes a
+/// version-2 baseline.
+#[test]
+fn a_version_1_baseline_is_rejected_and_the_gate_runs_cold() {
+    let file = PathBuf::from(env!("CARGO_MANIFEST_DIR"))
+        .join("tests/fixtures/fence_then_leak.sasm")
+        .to_string_lossy()
+        .into_owned();
+    let dir = temp_path("v1_baseline");
+    let _ = std::fs::remove_dir_all(&dir);
+    std::fs::create_dir_all(&dir).unwrap();
+    let v1 = format!(
+        "{{\"manifest\":\"pitchfork-baseline\",\"version\":1,\"entries\":1}}\n\
+         {{\"entry\":\"{file}\",\"fp\":1,\"blocks\":[[1,2]],\"verdict\":\"secure\",\
+         \"witnesses\":0,\"explored\":0,\"line\":\"{file}: secure (within bound) \
+         (2 states, 0 schedules explored, strategy lifo)\",\"states\":2,\"schedules\":0,\
+         \"strategy\":\"lifo\",\"truncated\":false}}\n"
+    );
+    std::fs::write(dir.join(BaselineManifest::FILE_NAME), v1).unwrap();
+    let (stdout, stderr, code) = gate(&dir, &[], std::slice::from_ref(&file));
+    assert_eq!(code, Some(0), "{stderr}");
+    assert!(stderr.contains("baseline version 1 not supported"), "{stderr}");
+    assert!(stderr.contains("running full cold analysis"), "{stderr}");
+    assert!(stderr.contains("1 entries — 0 replayed, 1 re-analyzed"), "{stderr}");
+    assert!(stdout.starts_with(&format!("{file}: VIOLATION (")), "{stdout}");
+    let manifest = BaselineManifest::load_dir(&dir).expect("a version-2 baseline was promoted");
+    assert!(manifest.get(&file).is_some_and(|e| e.verdict.is_insecure()));
+    let _ = std::fs::remove_dir_all(&dir);
+}
+
+/// The verdict block goes out through one buffered write; a reader that
+/// has already gone (`ci-gate ... | head -0`) must still leave the gate
+/// quiet: no panic, no error, the same exit code and baseline.
+#[test]
+fn a_closed_stdout_leaves_the_gate_quiet() {
+    let dir = temp_path("closed_stdout");
+    let _ = std::fs::remove_dir_all(&dir);
+    let mut child = Command::new(env!("CARGO_BIN_EXE_pitchfork"))
+        .args(["ci-gate", "--baseline"])
+        .arg(&dir)
+        .args(["--symbolic", "ra"])
+        .args(corpus_files())
+        .stdout(std::process::Stdio::piped())
+        .stderr(std::process::Stdio::piped())
+        .spawn()
+        .expect("pitchfork binary runs");
+    drop(child.stdout.take());
+    let out = child.wait_with_output().expect("gate finishes");
+    let stderr = String::from_utf8_lossy(&out.stderr);
+    assert_eq!(out.status.code(), Some(0), "{stderr}");
+    assert!(stderr.contains("ci-gate: PASS"), "{stderr}");
+    assert!(!stderr.contains("panicked") && !stderr.contains("Broken pipe"), "{stderr}");
+    let _ = std::fs::remove_dir_all(&dir);
+}
+
 fn stats(states: usize, deadline_exceeded: bool) -> ExploreStats {
     ExploreStats {
         states,
@@ -157,7 +214,7 @@ fn a_result_the_deadline_cut_short_keeps_the_previous_record() {
     let unknown = Verdict::Unknown { explored: 2 };
     let report = run(&baseline, Some(4), unknown, &stats(2, true), false);
     let o = &report.outcomes[0];
-    assert!(matches!(o.plan, EntryPlan::Dirty { .. }));
+    assert!(matches!(o.plan, EntryPlan::Dirty));
     assert_eq!(o.verdict, unknown);
     assert!(o.line.starts_with("fig1: unknown"), "{}", o.line);
     assert!(report.regressions().is_empty());
@@ -167,7 +224,7 @@ fn a_result_the_deadline_cut_short_keeps_the_previous_record() {
     // insecure is a regression, not a new entry.
     let insecure = Verdict::Insecure { witnesses: 1 };
     let next = run(&report.manifest, Some(4), insecure, &stats(9, false), false);
-    assert!(matches!(next.outcomes[0].plan, EntryPlan::Dirty { .. }));
+    assert!(matches!(next.outcomes[0].plan, EntryPlan::Dirty));
     assert_eq!(next.regressions().len(), 1);
     assert_eq!(next.manifest.get("fig1").map(|e| e.verdict), Some(insecure));
 }

@@ -47,6 +47,24 @@ fn flags_a_gadget_with_exit_code_one() {
     assert!(text.contains("VIOLATION"), "{text}");
 }
 
+/// Two programs whose sequential run leaks, which the explorer once
+/// called secure: a leak behind a fence (the path was dropped at the
+/// fence), and a load whose symbolic address was pinned to a secret
+/// cell that an older in-flight store had overwritten with a public
+/// value. Both must be flagged in v1 and v4 mode.
+#[test]
+fn leaks_behind_a_fence_or_a_shadowing_store_are_flagged() {
+    for fixture in ["fence_then_leak", "store_shadows_secret"] {
+        let path = format!("{}/tests/fixtures/{fixture}.sasm", env!("CARGO_MANIFEST_DIR"));
+        for mode in [&[][..], &["--fwd-hazards"][..]] {
+            let (text, code) = run_cli(&[mode, &["--symbolic", "ra", &path]].concat());
+            assert_eq!(code, Some(1), "{fixture} {mode:?}: {text}");
+            let line = format!("{fixture}.sasm: VIOLATION");
+            assert!(text.contains(&line), "{fixture} {mode:?}: {text}");
+        }
+    }
+}
+
 #[test]
 fn verbose_mode_prints_schedules() {
     let path = write_temp("verbose", GADGET);
