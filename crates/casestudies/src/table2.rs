@@ -119,6 +119,18 @@ pub fn run_parallel(
     strategy: StrategyKind,
     threads: usize,
 ) -> Table2 {
+    let (v1, v4) = run_batches(v1_bound, v4_bound, strategy, threads);
+    from_batches(&v1, &v4, v1_bound, v4_bound)
+}
+
+/// The two batch reports [`run_parallel`] renders: all eight builds in
+/// v1 mode, then in v4 mode, through one session.
+pub fn run_batches(
+    v1_bound: usize,
+    v4_bound: usize,
+    strategy: StrategyKind,
+    threads: usize,
+) -> (BatchReport, BatchReport) {
     let mut session = AnalysisSession::builder()
         .v1_mode(v1_bound)
         .strategy(strategy)
@@ -128,7 +140,7 @@ pub fn run_parallel(
     let v1 = session.run_batch(batch_items());
     session.set_options(DetectorOptions::v4_mode(v4_bound));
     let v4 = session.run_batch(batch_items());
-    from_batches(&v1, &v4, v1_bound, v4_bound)
+    (v1, v4)
 }
 
 /// [`run`], warm-started from (and saved back to) a `sct-cache`

@@ -10,11 +10,12 @@
 //!
 //! The buffer also maintains a 128-bit [`Rob::digest`]: the XOR of
 //! [`sip128`]`(&(i, buf(i)))` over its domain (see [`crate::digest`]).
-//! Every mutator updates it: `push` and `set` hash the one entry they
-//! write, and each entry keeps its hash beside it, so `set`, `pop_min`,
-//! `pop_min_n` and `truncate_from` XOR the removed entries out without
-//! rehashing them. The symbolic explorer fingerprints a buffer by its
-//! digest plus [`Rob::next_index`], which together determine the buffer
+//! Every mutator updates it: `push`, `set` and `update` hash the one
+//! entry they write, and each entry keeps its hash beside it, so `set`,
+//! `update`, `pop_min`, `pop_min_n` and `truncate_from` XOR the removed
+//! entries out without rehashing them. The symbolic explorer
+//! fingerprints a buffer by its digest plus [`Rob::next_index`], which
+//! together determine the buffer
 //! (the digest covers the absolute indices, so also a non-empty
 //! buffer's base).
 
@@ -179,14 +180,25 @@ impl<T: Hash> Rob<T> {
     /// Panics if `i` is not in the buffer's domain; the step rules only
     /// rewrite existing entries.
     pub fn set(&mut self, i: usize, instr: T) {
+        self.update(i, |slot| *slot = instr);
+    }
+
+    /// Rewrite `buf(i)` in place (`buf[i ↦ edit(buf(i))]`), so an entry
+    /// that keeps most of its fields need not be copied out and back.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `i` is not in the buffer's domain.
+    pub fn update(&mut self, i: usize, edit: impl FnOnce(&mut T)) {
         let k = i
             .checked_sub(self.base)
             .filter(|&k| k < self.entries.len())
             .unwrap_or_else(|| panic!("rob index {i} out of domain"));
-        let h = sip128(&(i, &instr));
         let slot = &mut self.entries[k];
+        edit(&mut slot.0);
+        let h = sip128(&(i, &slot.0));
         self.digest ^= slot.1 ^ h;
-        *slot = (instr, h);
+        slot.1 = h;
     }
 
     /// Append at `MAX(buf) + 1`, returning the new index.
@@ -348,6 +360,8 @@ mod tests {
             check(&rob);
         }
         rob.set(3, Transient::Fence);
+        check(&rob);
+        rob.update(4, |t| *t = val(9));
         check(&rob);
         rob.pop_min();
         check(&rob);

@@ -18,7 +18,7 @@ fn replay_witnesses(case: &LitmusCase, options: DetectorOptions) -> usize {
         let mut state = SymState::from_config(&case.config);
         for d in v.schedule.iter() {
             let succs = machine
-                .step(&state, d)
+                .step(state, d)
                 .unwrap_or_else(|e| panic!("{}: witness step {d} failed: {e}", case.name));
             assert_eq!(succs.len(), 1, "{}: concrete step {d} forked", case.name);
             state = succs.into_iter().next().expect("one successor");

@@ -400,8 +400,11 @@ impl<'p> Explorer<'p> {
                 expand_timer.stamp();
                 continue;
             }
-            for cont in conts {
-                for succ in self.apply(&state, &cont, &mut report, &mut sink) {
+            // Each continuation but the last steps a clone; the last one
+            // takes the state itself.
+            let sources = std::iter::repeat_n(state, conts.len());
+            for (cont, state) in conts.iter().zip(sources) {
+                for succ in self.apply(state, cont, &mut report, &mut sink) {
                     if dedup && !visited.insert(succ.fingerprint()) {
                         report.stats.deduped += 1;
                         continue;
@@ -443,26 +446,24 @@ impl<'p> Explorer<'p> {
     /// Apply a continuation, checking each step's new observations for
     /// secret labels. Generic over the event sink so the serial and
     /// parallel engines share one implementation of the step/violation
-    /// plumbing. The first directive steps from the borrowed `state`, so
-    /// only the machine's successors are ever cloned.
+    /// plumbing. It consumes `state`: each directive steps its sources
+    /// by value ([`SymMachine::step`]), so a state is copied only where
+    /// the machine forks, and a caller exploring several continuations
+    /// from one state passes a clone to all but the last.
     pub(crate) fn apply<S: EventSink>(
         &self,
-        state: &SymState,
+        state: SymState,
         cont: &Cont,
         report: &mut Report,
         sink: &mut S,
     ) -> Vec<SymState> {
-        let mut frontier = Vec::new();
+        let mut frontier = vec![state];
         let directives = cont.directives();
         for (k, &d) in directives.iter().enumerate() {
             let last = k + 1 == directives.len();
-            let sources = if k == 0 {
-                std::slice::from_ref(state)
-            } else {
-                &frontier[..]
-            };
             let mut next = Vec::new();
-            for st in sources {
+            for st in frontier {
+                let depth = st.depth();
                 let succs = match self.machine.step(st, d) {
                     Ok(s) => s,
                     // A continuation that turns out inapplicable (e.g. a
@@ -472,7 +473,7 @@ impl<'p> Explorer<'p> {
                 };
                 for succ in succs {
                     report.stats.steps += 1;
-                    debug_assert_eq!(succ.depth(), st.depth() + 1, "one recorded step");
+                    debug_assert_eq!(succ.depth(), depth + 1, "one recorded step");
                     let fresh = succ.step_observations();
                     if last {
                         let rolled_back = fresh.contains(&Observation::Rollback);
@@ -771,7 +772,7 @@ impl<'p> Explorer<'p> {
             args: args.clone(),
             guess: 0,
         });
-        let succs = self.machine.step(&scratch, Directive::Execute(i)).ok()?;
+        let succs = self.machine.step(scratch, Directive::Execute(i)).ok()?;
         let succ = succs.first()?;
         match succ.rob.get(i) {
             Some(SymTransient::Jump { target }) => Some(*target),

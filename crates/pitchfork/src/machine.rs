@@ -59,10 +59,20 @@ impl<'p> SymMachine<'p> {
     /// One symbolic step. Returns every feasible successor (with the
     /// directive and observations recorded in each).
     ///
+    /// The step consumes `state` and rewrites it in place into its
+    /// successor, so a step with one successor copies nothing. Only a
+    /// fork pays for a copy: a symbolic branch condition, or a guessed
+    /// load checked against memory, with both outcomes feasible, clones
+    /// the state for its first successor and hands `state` itself to the
+    /// second. Every rule runs its checks and resolves its operands
+    /// before it mutates anything. A caller that still needs the state
+    /// afterwards steps a clone.
+    ///
     /// # Errors
     ///
     /// Mirrors the reference machine's [`StepError`]s: no rule applies.
-    pub fn step(&self, state: &SymState, d: Directive) -> Result<Successors, StepError> {
+    /// The consumed state is dropped.
+    pub fn step(&self, state: SymState, d: Directive) -> Result<Successors, StepError> {
         match d {
             Directive::Fetch | Directive::FetchBranch(_) | Directive::FetchJump(_) => {
                 self.fetch(state, d)
@@ -304,17 +314,12 @@ impl<'p> SymMachine<'p> {
         }
     }
 
-    fn fetch(&self, state: &SymState, d: Directive) -> Result<Successors, StepError> {
-        let pc = state.pc;
-        let instr = self
-            .program
-            .fetch(pc)
-            .ok_or(StepError::NoInstruction(pc))?
-            .clone();
-        let mut st = state.clone();
-        match (&instr, d) {
+    fn fetch(&self, mut st: SymState, d: Directive) -> Result<Successors, StepError> {
+        let pc = st.pc;
+        let instr = self.program.fetch(pc).ok_or(StepError::NoInstruction(pc))?;
+        match (instr, d) {
             (Instr::Op { dst, op, args, next }, Directive::Fetch) => {
-                self.check_capacity(state, 1)?;
+                self.check_capacity(&st, 1)?;
                 st.rob.push(SymTransient::Op {
                     dst: *dst,
                     op: *op,
@@ -323,7 +328,7 @@ impl<'p> SymMachine<'p> {
                 st.pc = *next;
             }
             (Instr::Load { dst, addr, next }, Directive::Fetch) => {
-                self.check_capacity(state, 1)?;
+                self.check_capacity(&st, 1)?;
                 st.rob.push(SymTransient::Load {
                     dst: *dst,
                     addr: addr.clone(),
@@ -332,7 +337,7 @@ impl<'p> SymMachine<'p> {
                 st.pc = *next;
             }
             (Instr::Store { src, addr, next }, Directive::Fetch) => {
-                self.check_capacity(state, 1)?;
+                self.check_capacity(&st, 1)?;
                 st.rob.push(SymTransient::Store {
                     data: SymStoreData::Pending(*src),
                     addr: SymStoreAddr::Pending(addr.clone()),
@@ -340,12 +345,12 @@ impl<'p> SymMachine<'p> {
                 st.pc = *next;
             }
             (Instr::Fence { next }, Directive::Fetch) => {
-                self.check_capacity(state, 1)?;
+                self.check_capacity(&st, 1)?;
                 st.rob.push(SymTransient::Fence);
                 st.pc = *next;
             }
             (Instr::Br { op, args, tru, fls }, Directive::FetchBranch(b)) => {
-                self.check_capacity(state, 1)?;
+                self.check_capacity(&st, 1)?;
                 let guess = if b { *tru } else { *fls };
                 st.rob.push(SymTransient::Br {
                     op: *op,
@@ -357,7 +362,7 @@ impl<'p> SymMachine<'p> {
                 st.pc = guess;
             }
             (Instr::Jmpi { args }, Directive::FetchJump(n)) => {
-                self.check_capacity(state, 1)?;
+                self.check_capacity(&st, 1)?;
                 st.rob.push(SymTransient::Jmpi {
                     args: args.clone(),
                     guess: n,
@@ -365,7 +370,7 @@ impl<'p> SymMachine<'p> {
                 st.pc = n;
             }
             (Instr::Call { callee, ret }, Directive::Fetch) => {
-                self.check_capacity(state, 3)?;
+                self.check_capacity(&st, 3)?;
                 let marker = st.rob.push(SymTransient::Call);
                 st.rob.push(SymTransient::Op {
                     dst: Reg::RSP,
@@ -380,7 +385,7 @@ impl<'p> SymMachine<'p> {
                 st.pc = *callee;
             }
             (Instr::Ret, d) => {
-                self.check_capacity(state, 4)?;
+                self.check_capacity(&st, 4)?;
                 let top = st.rsb.top();
                 let guess: Pc = match (top, d, self.params.rsb_policy) {
                     (Some(n), Directive::Fetch, _) => n,
@@ -425,31 +430,54 @@ impl<'p> SymMachine<'p> {
 
     // ----- execute -----------------------------------------------------------
 
-    fn execute(&self, state: &SymState, i: usize) -> Result<Successors, StepError> {
-        let entry = state
-            .rob
-            .get(i)
-            .ok_or(StepError::NoSuchIndex(i))?
-            .clone();
-        match entry {
-            SymTransient::Op { dst, op, args } => self.execute_op(state, i, dst, op, &args),
+    /// The side condition of every execute rule (no fence below `i`),
+    /// then the values of the entry's operands `ops` — both read before
+    /// the rule mutates the state.
+    fn ready_operands(
+        &self,
+        state: &SymState,
+        i: usize,
+        ops: &[Operand],
+    ) -> Result<Vec<SymVal>, StepError> {
+        self.check_no_fence_below(state, i)?;
+        self.resolve_list(state, i, ops)
+    }
+
+    fn execute(&self, st: SymState, i: usize) -> Result<Successors, StepError> {
+        match *st.rob.get(i).ok_or(StepError::NoSuchIndex(i))? {
+            SymTransient::Op { dst, op, ref args } => {
+                let vals = self.ready_operands(&st, i, args)?;
+                self.execute_op(st, i, dst, op, &vals)
+            }
             SymTransient::Br {
                 op,
-                args,
+                ref args,
                 guess,
                 tru,
                 fls,
-            } => self.execute_branch(state, i, op, &args, guess, tru, fls),
-            SymTransient::Load { dst, addr, pp } => self.execute_load(state, i, dst, &addr, pp),
-            SymTransient::Jmpi { args, guess } => self.execute_jmpi(state, i, &args, guess),
+            } => {
+                let vals = self.ready_operands(&st, i, args)?;
+                self.execute_branch(st, i, op, &vals, guess, tru, fls)
+            }
+            SymTransient::Load { dst, ref addr, pp } => {
+                let vals = self.ready_operands(&st, i, addr)?;
+                self.execute_load(st, i, dst, &vals, pp)
+            }
+            SymTransient::Jmpi { ref args, guess } => {
+                let vals = self.ready_operands(&st, i, args)?;
+                self.execute_jmpi(st, i, &vals, guess)
+            }
             SymTransient::LoadGuessed {
                 dst,
-                addr,
+                ref addr,
                 fwd,
                 from,
                 pp,
-            } => self.execute_guessed_load(state, i, dst, &addr, fwd, from, pp),
-            other => Err(StepError::ExecuteMismatch {
+            } => {
+                let vals = self.ready_operands(&st, i, addr)?;
+                self.execute_guessed_load(st, i, dst, &vals, fwd, from, pp)
+            }
+            ref other => Err(StepError::ExecuteMismatch {
                 index: i,
                 found: other.kind(),
             }),
@@ -458,16 +486,13 @@ impl<'p> SymMachine<'p> {
 
     fn execute_op(
         &self,
-        state: &SymState,
+        mut st: SymState,
         i: usize,
         dst: Reg,
         op: OpCode,
-        args: &[Operand],
+        vals: &[SymVal],
     ) -> Result<Successors, StepError> {
-        self.check_no_fence_below(state, i)?;
-        let vals = self.resolve_list(state, i, args)?;
-        let val = self.sym_eval_op(op, &vals)?;
-        let mut st = state.clone();
+        let val = self.sym_eval_op(op, vals)?;
         st.rob.set(i, SymTransient::Value { dst, val });
         st.record(Directive::Execute(i), &[]);
         Ok(vec![st])
@@ -476,36 +501,31 @@ impl<'p> SymMachine<'p> {
     #[allow(clippy::too_many_arguments)]
     fn execute_branch(
         &self,
-        state: &SymState,
+        st: SymState,
         i: usize,
         op: OpCode,
-        args: &[Operand],
+        vals: &[SymVal],
         guess: Pc,
         tru: Pc,
         fls: Pc,
     ) -> Result<Successors, StepError> {
-        self.check_no_fence_below(state, i)?;
-        let vals = self.resolve_list(state, i, args)?;
-        let cond = self.sym_eval_op(op, &vals)?;
+        let cond = self.sym_eval_op(op, vals)?;
         let label = cond.label;
-        let mut out = Vec::new();
-        for outcome in [true, false] {
+        let outcomes = [true, false].map(|outcome| {
             let constraint = if outcome {
                 Expr::app(OpCode::Ne, vec![cond.expr, Expr::constant(0)])
             } else {
                 Expr::app(OpCode::Eq, vec![cond.expr, Expr::constant(0)])
             };
-            match constraint.as_const() {
-                Some(0) => continue,
-                Some(_) => {}
-                None => {
-                    if !self.feasible(state, Some(&constraint)) {
-                        continue;
-                    }
-                }
-            }
+            let feasible = match constraint.as_const() {
+                Some(0) => false,
+                Some(_) => true,
+                None => self.feasible(&st, Some(&constraint)),
+            };
             let target = if outcome { tru } else { fls };
-            let mut st = state.clone();
+            feasible.then_some((target, constraint))
+        });
+        let succs = fork(st, outcomes).map(|(mut st, (target, constraint))| {
             st.assume(constraint);
             if target == guess {
                 st.rob.set(i, SymTransient::Jump { target });
@@ -523,22 +543,19 @@ impl<'p> SymMachine<'p> {
                     &[Observation::Rollback, Observation::Jump { target, label }],
                 );
             }
-            out.push(st);
-        }
-        Ok(out)
+            st
+        });
+        Ok(succs.collect())
     }
 
     fn execute_jmpi(
         &self,
-        state: &SymState,
+        mut st: SymState,
         i: usize,
-        args: &[Operand],
+        vals: &[SymVal],
         guess: Pc,
     ) -> Result<Successors, StepError> {
-        self.check_no_fence_below(state, i)?;
-        let vals = self.resolve_list(state, i, args)?;
-        let mut st = state.clone();
-        let (target, label) = self.concretize_addr(&mut st, &vals);
+        let (target, label) = self.concretize_addr(&mut st, vals);
         if target == guess {
             st.rob.set(i, SymTransient::Jump { target });
             st.record(
@@ -560,16 +577,13 @@ impl<'p> SymMachine<'p> {
 
     fn execute_load(
         &self,
-        state: &SymState,
+        mut st: SymState,
         i: usize,
         dst: Reg,
-        addr_ops: &[Operand],
+        vals: &[SymVal],
         pp: Pc,
     ) -> Result<Successors, StepError> {
-        self.check_no_fence_below(state, i)?;
-        let vals = self.resolve_list(state, i, addr_ops)?;
-        let mut st = state.clone();
-        let (a, la) = self.concretize_load_addr(&mut st, i, &vals);
+        let (a, la) = self.concretize_load_addr(&mut st, i, vals);
         // max(j) < i with buf(j) = store(_, a)
         let mut matching: Option<(usize, Option<SymVal>)> = None;
         for (j, t) in st.rob.iter_below(i) {
@@ -618,55 +632,44 @@ impl<'p> SymMachine<'p> {
         }
     }
 
-    fn execute_store_value(&self, state: &SymState, i: usize) -> Result<Successors, StepError> {
-        let entry = state
-            .rob
-            .get(i)
-            .ok_or(StepError::NoSuchIndex(i))?
-            .clone();
-        let SymTransient::Store {
-            data: SymStoreData::Pending(rv),
-            addr,
-        } = entry
-        else {
-            return Err(StepError::ExecuteMismatch {
-                index: i,
-                found: entry.kind(),
-            });
-        };
-        self.check_no_fence_below(state, i)?;
-        let val = self.resolve_operand(state, i, &rv)?;
-        let mut st = state.clone();
-        st.rob.set(
-            i,
+    fn execute_store_value(&self, mut st: SymState, i: usize) -> Result<Successors, StepError> {
+        let rv = match st.rob.get(i).ok_or(StepError::NoSuchIndex(i))? {
             SymTransient::Store {
-                data: SymStoreData::Resolved(val),
-                addr,
-            },
-        );
+                data: SymStoreData::Pending(rv),
+                ..
+            } => *rv,
+            other => {
+                return Err(StepError::ExecuteMismatch {
+                    index: i,
+                    found: other.kind(),
+                })
+            }
+        };
+        self.check_no_fence_below(&st, i)?;
+        let val = self.resolve_operand(&st, i, &rv)?;
+        st.rob.update(i, |t| {
+            if let SymTransient::Store { data, .. } = t {
+                *data = SymStoreData::Resolved(val);
+            }
+        });
         st.record(Directive::ExecuteValue(i), &[]);
         Ok(vec![st])
     }
 
-    fn execute_store_addr(&self, state: &SymState, i: usize) -> Result<Successors, StepError> {
-        let entry = state
-            .rob
-            .get(i)
-            .ok_or(StepError::NoSuchIndex(i))?
-            .clone();
-        let SymTransient::Store {
-            data,
-            addr: SymStoreAddr::Pending(ops),
-        } = entry
-        else {
-            return Err(StepError::ExecuteMismatch {
-                index: i,
-                found: entry.kind(),
-            });
+    fn execute_store_addr(&self, mut st: SymState, i: usize) -> Result<Successors, StepError> {
+        let ops = match st.rob.get(i).ok_or(StepError::NoSuchIndex(i))? {
+            SymTransient::Store {
+                addr: SymStoreAddr::Pending(ops),
+                ..
+            } => ops,
+            other => {
+                return Err(StepError::ExecuteMismatch {
+                    index: i,
+                    found: other.kind(),
+                })
+            }
         };
-        self.check_no_fence_below(state, i)?;
-        let vals = self.resolve_list(state, i, &ops)?;
-        let mut st = state.clone();
+        let vals = self.ready_operands(&st, i, ops)?;
         let (a, la) = self.concretize_addr(&mut st, &vals);
         let hazard = st.rob.iter_above(i).find_map(|(k, t)| match t {
             SymTransient::LoadedValue { prov, pp, .. } => {
@@ -676,15 +679,13 @@ impl<'p> SymMachine<'p> {
             }
             _ => None,
         });
+        st.rob.update(i, |t| {
+            if let SymTransient::Store { addr, .. } = t {
+                *addr = SymStoreAddr::Resolved(a, la);
+            }
+        });
         match hazard {
             None => {
-                st.rob.set(
-                    i,
-                    SymTransient::Store {
-                        data,
-                        addr: SymStoreAddr::Resolved(a, la),
-                    },
-                );
                 st.record(
                     Directive::ExecuteAddr(i),
                     &[Observation::Fwd { addr: a, label: la }],
@@ -693,13 +694,6 @@ impl<'p> SymMachine<'p> {
             Some((k, load_pp)) => {
                 st.rob.truncate_from(k);
                 st.rsb.truncate_from(k);
-                st.rob.set(
-                    i,
-                    SymTransient::Store {
-                        data,
-                        addr: SymStoreAddr::Resolved(a, la),
-                    },
-                );
                 st.pc = load_pp;
                 st.record(
                     Directive::ExecuteAddr(i),
@@ -712,42 +706,40 @@ impl<'p> SymMachine<'p> {
 
     fn execute_forward_guess(
         &self,
-        state: &SymState,
+        mut st: SymState,
         i: usize,
         j: usize,
     ) -> Result<Successors, StepError> {
-        let entry = state
-            .rob
-            .get(i)
-            .ok_or(StepError::NoSuchIndex(i))?
-            .clone();
-        let SymTransient::Load { dst, addr, pp } = entry else {
-            return Err(StepError::ExecuteMismatch {
-                index: i,
-                found: entry.kind(),
-            });
-        };
-        self.check_no_fence_below(state, i)?;
+        match st.rob.get(i).ok_or(StepError::NoSuchIndex(i))? {
+            SymTransient::Load { .. } => {}
+            other => {
+                return Err(StepError::ExecuteMismatch {
+                    index: i,
+                    found: other.kind(),
+                })
+            }
+        }
+        self.check_no_fence_below(&st, i)?;
         if j >= i {
             return Err(StepError::BadForwardSource { index: i, from: j });
         }
-        let fwd = state
+        let fwd = st
             .rob
             .get(j)
             .and_then(SymTransient::store_resolved_data)
-            .cloned()
+            .copied()
             .ok_or(StepError::BadForwardSource { index: i, from: j })?;
-        let mut st = state.clone();
-        st.rob.set(
-            i,
-            SymTransient::LoadGuessed {
-                dst,
-                addr,
-                fwd,
-                from: j,
-                pp,
-            },
-        );
+        st.rob.update(i, |t| {
+            if let SymTransient::Load { dst, addr, pp } = t {
+                *t = SymTransient::LoadGuessed {
+                    dst: *dst,
+                    addr: std::mem::take(addr),
+                    fwd,
+                    from: j,
+                    pp: *pp,
+                };
+            }
+        });
         st.record(Directive::ExecuteFwd(i, j), &[]);
         Ok(vec![st])
     }
@@ -755,18 +747,15 @@ impl<'p> SymMachine<'p> {
     #[allow(clippy::too_many_arguments)]
     fn execute_guessed_load(
         &self,
-        state: &SymState,
+        mut st: SymState,
         i: usize,
         dst: Reg,
-        addr_ops: &[Operand],
+        vals: &[SymVal],
         fwd: SymVal,
         from: usize,
         pp: Pc,
     ) -> Result<Successors, StepError> {
-        self.check_no_fence_below(state, i)?;
-        let vals = self.resolve_list(state, i, addr_ops)?;
-        let mut st = state.clone();
-        let (a, la) = self.concretize_addr(&mut st, &vals);
+        let (a, la) = self.concretize_addr(&mut st, vals);
         if st.rob.get(from).is_some() {
             let store_addr = st
                 .rob
@@ -820,7 +809,6 @@ impl<'p> SymMachine<'p> {
         let vmem = st.mem.read(a);
         // Value comparison may be symbolic: fork on equal/unequal where
         // feasible (labels must agree for the values to be equal).
-        let mut out = Vec::new();
         let labels_agree = vmem.label == fwd.label;
         let eq_expr = Expr::app(OpCode::Eq, vec![vmem.expr, fwd.expr]);
         let match_feasible = labels_agree
@@ -836,56 +824,48 @@ impl<'p> SymMachine<'p> {
                 Some(_) => true,
                 None => self.feasible(&st, Some(&mismatch_expr)),
             };
-        if match_feasible {
-            let mut m = st.clone();
-            if eq_expr.as_const().is_none() {
-                m.assume(eq_expr);
+        let outcomes = [match_feasible.then_some(true), mismatch_feasible.then_some(false)];
+        let succs = fork(st, outcomes).map(|(mut st, matched)| {
+            if matched {
+                if eq_expr.as_const().is_none() {
+                    st.assume(eq_expr);
+                }
+                st.rob.set(
+                    i,
+                    SymTransient::LoadedValue {
+                        dst,
+                        val: vmem,
+                        prov: SymProvenance { dep: None, addr: a },
+                        pp,
+                    },
+                );
+                st.record(
+                    Directive::Execute(i),
+                    &[Observation::Read { addr: a, label: la }],
+                );
+            } else {
+                if labels_agree && mismatch_expr.as_const().is_none() {
+                    st.assume(mismatch_expr);
+                }
+                st.rob.truncate_from(i);
+                st.rsb.truncate_from(i);
+                st.pc = pp;
+                st.record(
+                    Directive::Execute(i),
+                    &[Observation::Rollback, Observation::Read { addr: a, label: la }],
+                );
             }
-            m.rob.set(
-                i,
-                SymTransient::LoadedValue {
-                    dst,
-                    val: vmem,
-                    prov: SymProvenance { dep: None, addr: a },
-                    pp,
-                },
-            );
-            m.record(
-                Directive::Execute(i),
-                &[Observation::Read { addr: a, label: la }],
-            );
-            out.push(m);
-        }
-        if mismatch_feasible {
-            let mut h = st.clone();
-            if labels_agree && mismatch_expr.as_const().is_none() {
-                h.assume(mismatch_expr);
-            }
-            h.rob.truncate_from(i);
-            h.rsb.truncate_from(i);
-            h.pc = pp;
-            h.record(
-                Directive::Execute(i),
-                &[Observation::Rollback, Observation::Read { addr: a, label: la }],
-            );
-            out.push(h);
-        }
-        Ok(out)
+            st
+        });
+        Ok(succs.collect())
     }
 
     // ----- retire ------------------------------------------------------------
 
-    fn retire(&self, state: &SymState) -> Result<Successors, StepError> {
-        let i = state.rob.min().ok_or(StepError::EmptyBuffer)?;
-        let entry = state.rob.get(i).expect("min present").clone();
-        let mut st = state.clone();
-        match entry {
-            SymTransient::Value { dst, val } => {
-                st.regs.write(dst, val);
-                st.rob.pop_min();
-                st.record(Directive::Retire, &[]);
-            }
-            SymTransient::LoadedValue { dst, val, .. } => {
+    fn retire(&self, mut st: SymState) -> Result<Successors, StepError> {
+        let i = st.rob.min().ok_or(StepError::EmptyBuffer)?;
+        match *st.rob.get(i).expect("min present") {
+            SymTransient::Value { dst, val } | SymTransient::LoadedValue { dst, val, .. } => {
                 st.regs.write(dst, val);
                 st.rob.pop_min();
                 st.record(Directive::Retire, &[]);
@@ -959,7 +939,7 @@ impl<'p> SymMachine<'p> {
                     }
                 }
             }
-            other => {
+            ref other => {
                 return Err(StepError::NotRetirable {
                     index: i,
                     found: other.kind(),
@@ -968,6 +948,19 @@ impl<'p> SymMachine<'p> {
         }
         Ok(vec![st])
     }
+}
+
+/// The successors of a two-way fork: `state` paired with each side that
+/// is `Some`, first side first. The state is cloned only when both sides
+/// are present, and the second one takes `state` itself.
+fn fork<T>(state: SymState, sides: [Option<T>; 2]) -> impl Iterator<Item = (SymState, T)> {
+    let (first, second) = match sides {
+        [Some(a), Some(b)] => (Some((state.clone(), a)), Some((state, b))),
+        [Some(a), None] => (Some((state, a)), None),
+        [None, Some(b)] => (None, Some((state, b))),
+        [None, None] => (None, None),
+    };
+    first.into_iter().chain(second)
 }
 
 #[cfg(test)]
@@ -991,7 +984,7 @@ mod tests {
         ];
         let mut cur = st;
         for d in schedule {
-            let succs = m.step(&cur, d).unwrap();
+            let succs = m.step(cur, d).unwrap();
             assert_eq!(succs.len(), 1, "concrete run must not fork at {d}");
             cur = succs.into_iter().next().unwrap();
         }
@@ -1004,11 +997,11 @@ mod tests {
         let m = SymMachine::new(&p);
         let st = SymState::from_config_symbolizing(&cfg, &[RA]);
         let st = m
-            .step(&st, Directive::FetchBranch(true))
+            .step(st, Directive::FetchBranch(true))
             .unwrap()
             .pop()
             .unwrap();
-        let succs = m.step(&st, Directive::Execute(1)).unwrap();
+        let succs = m.step(st, Directive::Execute(1)).unwrap();
         assert_eq!(succs.len(), 2, "symbolic condition must fork");
         // One successor resolved correctly (guess true), one rolled back.
         let rollbacks = succs
@@ -1028,17 +1021,98 @@ mod tests {
         let m = SymMachine::new(&p);
         let st = SymState::from_config_symbolizing(&cfg, &[RA]);
         let st = m
-            .step(&st, Directive::FetchBranch(true))
+            .step(st, Directive::FetchBranch(true))
             .unwrap()
             .pop()
             .unwrap();
-        let st = m.step(&st, Directive::Fetch).unwrap().pop().unwrap();
-        let st = m.step(&st, Directive::Execute(2)).unwrap().pop().unwrap();
+        let st = m.step(st, Directive::Fetch).unwrap().pop().unwrap();
+        let st = m.step(st, Directive::Execute(2)).unwrap().pop().unwrap();
         // The load's address 0x40 + ra was symbolic: a constraint pins it.
         assert!(!st.constraints.is_empty());
         assert!(matches!(
             st.trace().last(),
             Some(Observation::Read { .. })
         ));
+    }
+
+    /// `store ra, [0x40]; load rc, [0x44]` with `ra` symbolic and
+    /// 7 in memory at 0x44: the load guesses that it forwards `ra` from
+    /// the store, the store retires, and the guess is then checked
+    /// against memory, where `7 = ra` can go either way.
+    #[test]
+    fn guessed_load_forks_on_a_symbolic_match_against_memory() {
+        use sct_core::{Config, Val};
+        let mut p = Program::new();
+        p.entry = 1;
+        p.insert(
+            1,
+            Instr::Store {
+                src: RA.into(),
+                addr: vec![Operand::imm(0x40)],
+                next: 2,
+            },
+        );
+        p.insert(
+            2,
+            Instr::Load {
+                dst: RC,
+                addr: vec![Operand::imm(0x44)],
+                next: 3,
+            },
+        );
+        let regs = [(RA, Val::public(5))].into_iter().collect();
+        let mut cfg = Config::initial(regs, Default::default(), 1);
+        cfg.mem.write(0x44, Val::public(7));
+        let m = SymMachine::new(&p);
+        let mut st = SymState::from_config_symbolizing(&cfg, &[RA]);
+        for d in [
+            Directive::Fetch,            // store at 1
+            Directive::Fetch,            // load at 2
+            Directive::ExecuteValue(1),  // store data = ra
+            Directive::ExecuteFwd(2, 1), // guess: the load forwards ra
+            Directive::ExecuteAddr(1),   // store address 0x40
+            Directive::Retire,           // the store commits: `from` is gone
+        ] {
+            st = m.step(st, d).unwrap().pop().unwrap();
+        }
+        assert!(st.constraints.is_empty());
+        let equal = Expr::app(
+            OpCode::Eq,
+            vec![st.mem.read(0x44).expr, st.regs.read(RA).expr],
+        );
+        let unequal = Expr::app(OpCode::Eq, vec![equal, Expr::constant(0)]);
+        let read = Observation::Read {
+            addr: 0x44,
+            label: Label::Public,
+        };
+
+        let succs = m.step(st, Directive::Execute(2)).unwrap();
+        assert_eq!(succs.len(), 2, "a symbolic comparison must fork");
+        let (matched, mismatched) = (&succs[0], &succs[1]);
+        // The guess matches memory: the load reads 0x44, under `7 = ra`.
+        assert_eq!(matched.step_observations(), &[read]);
+        assert_eq!(matched.constraints, vec![equal]);
+        assert!(matches!(
+            matched.rob.get(2),
+            Some(SymTransient::LoadedValue {
+                dst: RC,
+                prov: SymProvenance {
+                    dep: None,
+                    addr: 0x44
+                },
+                ..
+            })
+        ));
+        // The guess was wrong: roll back to the load, under `7 ≠ ra`.
+        assert_eq!(
+            mismatched.step_observations(),
+            &[Observation::Rollback, read]
+        );
+        assert_eq!(mismatched.constraints, vec![unequal]);
+        assert!(
+            mismatched.rob.is_empty(),
+            "the rollback truncates the buffer"
+        );
+        assert_eq!(mismatched.pc, 2);
     }
 }

@@ -711,8 +711,9 @@ fn worker(explorer: &Explorer<'_>, shared: &Shared<'_>, threads: usize) -> Repor
         }
         let violations_before = local.violations.len();
         let mut fresh: Vec<SymState> = Vec::new();
-        for cont in conts {
-            for succ in explorer.apply(&state, &cont, &mut local, &mut sink) {
+        let sources = std::iter::repeat_n(state, conts.len());
+        for (cont, state) in conts.iter().zip(sources) {
+            for succ in explorer.apply(state, cont, &mut local, &mut sink) {
                 if dedup && !shared.visit(succ.fingerprint()) {
                     shared.deduped.fetch_add(1, Ordering::Relaxed);
                     continue;

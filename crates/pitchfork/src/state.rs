@@ -448,8 +448,8 @@ impl SymState {
     /// **Where the digests are maintained.** Each of the three
     /// containers keeps its own digest, updated by its own mutators
     /// only, so fingerprinting costs the same whatever the size of the
-    /// state: [`Rob`] in `push`, `set`, `pop_min`, `pop_min_n` and
-    /// `truncate_from`; [`SymRegFile`] and [`SymMemory`] in `write`.
+    /// state: [`Rob`] in `push`, `set`, `update`, `pop_min`, `pop_min_n`
+    /// and `truncate_from`; [`SymRegFile`] and [`SymMemory`] in `write`.
     /// A digest is the XOR of one [`sip128`] element hash per cell or
     /// per `(index, entry)` pair (Zobrist hashing, see
     /// [`sct_core::digest`]). Debug builds check every maintained digest

@@ -37,8 +37,9 @@ proptest! {
             // Deterministic pick: spread across the candidate list.
             let d = candidates[(seed as usize + step) % candidates.len()];
             let conc_obs = conc.step(d).expect("applicable on reference");
+            let prev_len = sym.trace().len();
             let succs = sym_machine
-                .step(&sym, d)
+                .step(sym, d)
                 .unwrap_or_else(|e| panic!("symbolic step failed on {d}: {e}"));
             prop_assert_eq!(
                 succs.len(),
@@ -46,7 +47,6 @@ proptest! {
                 "concrete-input symbolic step must not fork (directive {})",
                 d
             );
-            let prev_len = sym.trace().len();
             sym = succs.into_iter().next().unwrap();
             let trace = sym.trace();
             let sym_obs = &trace[prev_len..];
@@ -88,7 +88,7 @@ proptest! {
             ];
             for &p in &probes {
                 let conc_ok = conc.clone().step(p).is_ok();
-                let sym_ok = sym_machine.step(&sym, p).is_ok();
+                let sym_ok = sym_machine.step(sym.clone(), p).is_ok();
                 prop_assert_eq!(
                     conc_ok, sym_ok,
                     "applicability mismatch for {} at step {}", p, step
@@ -100,7 +100,7 @@ proptest! {
             }
             let d = candidates[(seed as usize + step) % candidates.len()];
             conc.step(d).unwrap();
-            sym = sym_machine.step(&sym, d).unwrap().into_iter().next().unwrap();
+            sym = sym_machine.step(sym, d).unwrap().into_iter().next().unwrap();
         }
     }
 }

@@ -44,7 +44,7 @@ fn random_path_constraints(seed: u64) -> Vec<Expr> {
         let mut stepped = false;
         while !candidates.is_empty() {
             let d = candidates.swap_remove(rng.gen_range(0..candidates.len()));
-            if let Ok(succs) = machine.step(&state, d) {
+            if let Ok(succs) = machine.step(state.clone(), d) {
                 if !succs.is_empty() {
                     let k = rng.gen_range(0..succs.len());
                     state = succs.into_iter().nth(k).expect("index in range");
