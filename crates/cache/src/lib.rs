@@ -73,6 +73,5 @@ mod store;
 
 pub use snapshot::{HydrateStats, PruneStats, Snapshot, SnapshotError, FORMAT_VERSION};
 pub use store::{
-    load, load_if_exists, load_or_quarantine, quarantine, save, save_rooted, CacheError,
-    DegradedLoad, LoadStats, SaveStats,
+    load, load_if_exists, quarantine, save, save_rooted, CacheError, LoadStats, SaveStats,
 };

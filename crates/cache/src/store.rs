@@ -164,46 +164,6 @@ pub fn load_if_exists(path: &Path) -> Result<Option<LoadStats>, CacheError> {
     }
 }
 
-/// How [`load_or_quarantine`] resolved a cache path.
-#[derive(Debug)]
-pub enum DegradedLoad {
-    /// The snapshot loaded and hydrated cleanly.
-    Loaded(LoadStats),
-    /// No file at the path: an ordinary cold start.
-    Missing,
-    /// The file existed but was corrupt (or unreadable). A corrupt
-    /// file has been renamed aside to `moved_to` so the next run does
-    /// not trip on it again; `None` means the rename itself failed and
-    /// the bad file is still in place.
-    Quarantined {
-        /// Where the bad bytes were moved (`PATH.bad`), if the rename
-        /// succeeded.
-        moved_to: Option<std::path::PathBuf>,
-        /// Why the load failed.
-        error: CacheError,
-    },
-}
-
-/// [`load`], but corruption degrades instead of erroring: a snapshot
-/// that fails to decode or hydrate is renamed aside to `PATH.bad`
-/// (quarantined) and reported as [`DegradedLoad::Quarantined`] so the
-/// caller can warn and proceed with a cold analysis. The process state
-/// is untouched on any failure, so continuing is always sound — a
-/// corrupt cache can cost time, never a verdict.
-///
-/// Bumps the `cache_quarantined_total` telemetry counter on
-/// quarantine (when telemetry is enabled).
-pub fn load_or_quarantine(path: &Path) -> DegradedLoad {
-    match load(path) {
-        Ok(stats) => DegradedLoad::Loaded(stats),
-        Err(CacheError::Io(e)) if e.kind() == std::io::ErrorKind::NotFound => DegradedLoad::Missing,
-        Err(error) => {
-            let moved_to = quarantine(path);
-            DegradedLoad::Quarantined { moved_to, error }
-        }
-    }
-}
-
 /// Move a bad cache file aside to `PATH.bad` (overwriting any previous
 /// quarantine of the same path). Returns the destination on success;
 /// `None` if the rename failed (e.g. a read-only directory), in which

@@ -351,9 +351,8 @@ impl<'p> Explorer<'p> {
     /// The serial worklist engine. With `spill_at` set (the adaptive
     /// path), the loop stops as soon as the frontier reaches that
     /// width and returns everything a parallel continuation needs;
-    /// stats accumulated so far (including this thread's exact
-    /// lock-wait and cache-hit deltas) travel along in the seed's base
-    /// report, and the parallel merge adds its own on top.
+    /// stats accumulated so far travel along in the seed's base report,
+    /// and the parallel merge adds its own on top.
     fn explore_serial_core(
         &self,
         initial: SymState,
@@ -361,7 +360,6 @@ impl<'p> Explorer<'p> {
         spill_at: Option<usize>,
     ) -> SerialOutcome {
         let memo_before = sct_symx::solver_memo_stats();
-        let tls_before = sct_symx::thread_stats();
         let mut sink = DirectSink(observers);
         let mut report = Report::default();
         report.stats.strategy = self.options.strategy.name();
@@ -424,10 +422,6 @@ impl<'p> Explorer<'p> {
         report.stats.solver_memo_hits = (memo_after.hits - memo_before.hits) as usize;
         report.stats.solver_memo_misses = (memo_after.misses - memo_before.misses) as usize;
         report.stats.solver_memo_evicted = (memo_after.evicted - memo_before.evicted) as usize;
-        let tls = sct_symx::thread_stats().since(&tls_before);
-        report.stats.memo_lock_waits = tls.memo_lock_waits as usize;
-        report.stats.arena_lock_waits = tls.arena_lock_waits as usize;
-        report.stats.local_cache_hits = tls.local_cache_hits() as usize;
         if !spilled {
             return SerialOutcome::Done(report);
         }

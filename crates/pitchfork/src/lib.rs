@@ -120,8 +120,8 @@
 //! diffs the two. A worker that dies mid-run has its in-flight and
 //! queued shards requeued to the survivors (bounded retries per
 //! entry); a worker seeded with a snapshot reports the import as
-//! nonzero `seed_nodes_added` / `seed_verdicts_imported` counters in
-//! its `pitchfork metrics` scrape.
+//! nonzero `service_seed_nodes_added` / `service_seed_verdicts_imported`
+//! families in its `pitchfork metrics` scrape.
 //!
 //! Connections authenticate with [`Request::Hello`] carrying the
 //! shared `--token` (tokenless daemons accept the handshake as a
@@ -205,8 +205,7 @@
 //! hash-consing expression arena, the solver-verdict memo, the
 //! fingerprint visited set — is lock-striped, with a thread-local L1
 //! cache in front of the arena and memo so hot-path hits touch no
-//! shared lock at all ([`ExploreStats::local_cache_hits`] counts
-//! them). Opt in with [`SessionBuilder::parallelism`] (CLI
+//! shared lock at all. Opt in with [`SessionBuilder::parallelism`] (CLI
 //! `--threads N`), per job with [`service::JobSpec::threads`], and at
 //! the daemon level with `--serve ... --jobs K`, which runs K whole
 //! jobs concurrently against the shared arena. Worker threads come
@@ -225,10 +224,9 @@
 //! the old single mutex-guarded global frontier is gone. Termination
 //! is an in-flight state counter — enqueued states count up, finished
 //! expansions count down, zero means done — so idle workers park on a
-//! condvar and are woken by the next donation. [`ExploreStats::steals`]
-//! and [`ExploreStats::steal_fails`] make the rebalancing traffic
-//! observable, and [`ExplorerOptions::steal_seed`] perturbs victim
-//! order for race-hunting without ever changing results.
+//! condvar and are woken by the next donation.
+//! [`ExplorerOptions::steal_seed`] perturbs victim order for
+//! race-hunting without ever changing results.
 //!
 //! **Adaptive `--threads 0`.** Zero means *adaptive*: exploration
 //! starts on the serial engine and hands the frontier over to one
@@ -261,14 +259,11 @@
 //! worker owns depends on donation timing.
 //!
 //! **When to use it.** Parallelism pays on deep explorations (big
-//! programs, high bounds, v4/alias modes) and on multi-core hosts;
-//! contention is visible without a profiler via
-//! [`ExploreStats::arena_lock_waits`] / `memo_lock_waits` (summed
-//! exactly over the exploration's workers) and the daemon's `Stats`
-//! response. Single large-batch workloads on few cores are often
-//! better served by `--jobs` (parallelism *across* programs) than
-//! `--threads` (parallelism *within* one) — or by `--threads 0`,
-//! which makes the call per exploration.
+//! programs, high bounds, v4/alias modes) and on multi-core hosts.
+//! Single large-batch workloads on few cores are often better served
+//! by `--jobs` (parallelism *across* programs) than `--threads`
+//! (parallelism *within* one) — or by `--threads 0`, which makes the
+//! call per exploration.
 //!
 //! # Observability
 //!
@@ -292,18 +287,13 @@
 //! | `steal_attempt_ns` | histogram | one work-stealing sweep in the parallel engine |
 //! | `job_queue_wait_ns` | histogram | daemon job: submission → dequeue |
 //! | `job_run_ns` | histogram | daemon job: dequeue → verdict |
-//! | `job_events_dropped` | counter | events evicted by per-job retention caps |
 //! | `worker_busy_ns{worker="i"}` | counter | per-worker time spent expanding states |
 //! | `worker_steal_ns{worker="i"}` | counter | per-worker time spent rebalancing |
 //! | `worker_parked_ns{worker="i"}` | counter | per-worker time parked on the idle condvar |
-//! | `seed_nodes_added` | counter | arena nodes imported from `seed` warm-start snapshots |
-//! | `seed_verdicts_imported` | counter | memoised verdicts imported from `seed` snapshots |
 //! | `fleet_dispatch_total{worker="i"}` | counter | coordinator: shards dispatched to worker i |
 //! | `fleet_retry_total{worker="i"}` | counter | coordinator: shard attempts retried off worker i |
 //! | `fleet_shard_ns{worker="i"}` | histogram | coordinator: shard submit → terminal status on worker i |
 //! | `fault_injected_total` | counter | faults fired by the `SCT_FAULTS` injection harness |
-//! | `job_deadline_exceeded_total` | counter | jobs cut off by their per-job wall-clock deadline |
-//! | `journal_replayed_total` | counter | jobs re-submitted from the write-ahead journal on restart |
 //! | `cache_quarantined_total` | counter | corrupt snapshot/baseline files renamed aside to `*.bad` |
 //!
 //! The job-latency histograms (`job_queue_wait_ns`, `job_run_ns`, and
@@ -311,6 +301,14 @@
 //! id of their maximum observation, rendered as ` max_job=N` on the
 //! exposition summary comment, so a p99 spike links straight to a
 //! concrete submission.
+//!
+//! The daemon's job counters live in its [`ServiceStats`] only, and
+//! the scrape renders them as `service_*` families:
+//! `service_seed_nodes_added` / `service_seed_verdicts_imported` count
+//! `seed` warm-start imports, `service_jobs_replayed` the jobs
+//! re-submitted from the write-ahead journal, `service_jobs_timed_out`
+//! the jobs cut off by their deadline, and `service_events_dropped`
+//! the events evicted by per-job retention caps.
 //!
 //! The daemon answers [`Request::Metrics`] with its [`ServiceStats`]
 //! plus a full registry snapshot, and `pitchfork metrics --connect
@@ -374,8 +372,8 @@
 //!   [`Request::parse`], so a replayed job is literally the original
 //!   submission re-made), torn trailing lines from a mid-write crash
 //!   are skipped, and the journal is compacted to just the live jobs.
-//!   Replay count surfaces as [`ServiceStats::jobs_replayed`] and the
-//!   `journal_replayed_total` counter.
+//!   Replay count surfaces as [`ServiceStats::jobs_replayed`] (the
+//!   `service_jobs_replayed` family).
 //! * **Heartbeats and read deadlines.** [`Request::Ping`] answers
 //!   [`Response::Pong`] with queue depth on the connection thread, so a
 //!   pong distinguishes *alive-but-busy* from *wedged*. The coordinator

@@ -25,8 +25,8 @@
 //!   donation buffers — its own first, then the others starting from a
 //!   seed-rotated victim ([`crate::ExplorerOptions::steal_seed`]) —
 //!   and takes a whole buffer per steal, so one steal funds many
-//!   expansions. Batches keep steal traffic (and the `steals` counter)
-//!   proportional to load imbalance, not to state count.
+//!   expansions. Batches keep steal traffic proportional to load
+//!   imbalance, not to state count.
 //! * **Visited set** — lock-striped (64 mutexes over `u128`
 //!   fingerprints); a successor is claimed by whichever worker inserts
 //!   its fingerprint first, so every distinct state is expanded
@@ -73,7 +73,7 @@ use crate::report::Report;
 use crate::state::SymState;
 use crate::strategy::SearchStrategy;
 use std::collections::HashSet;
-use std::sync::atomic::{AtomicBool, AtomicU64, AtomicUsize, Ordering};
+use std::sync::atomic::{AtomicBool, AtomicUsize, Ordering};
 use std::sync::{Condvar, LazyLock, Mutex, MutexGuard, PoisonError};
 use std::time::Instant;
 
@@ -392,8 +392,6 @@ struct Shared<'obs> {
     /// payloads and the `frontier_peak` stat).
     queued: AtomicUsize,
     peak: AtomicUsize,
-    steals: AtomicU64,
-    steal_fails: AtomicU64,
     /// Worker-id dispenser (the pool hands every invocation the same
     /// closure; each claims a distinct id here).
     next_worker: AtomicUsize,
@@ -533,8 +531,6 @@ pub(crate) fn explore_parallel(
         deadline_exceeded: AtomicBool::new(false),
         queued: AtomicUsize::new(queued0),
         peak: AtomicUsize::new(base.stats.frontier_peak.max(queued0)),
-        steals: AtomicU64::new(0),
-        steal_fails: AtomicU64::new(0),
         next_worker: AtomicUsize::new(0),
         steal_seed: options.steal_seed,
         observers: Mutex::new(observers),
@@ -583,8 +579,6 @@ pub(crate) fn explore_parallel(
     report.stats.truncated |= shared.truncated.load(Ordering::Relaxed);
     report.stats.deadline_exceeded |= shared.deadline_exceeded.load(Ordering::Relaxed);
     report.stats.frontier_peak = shared.peak.load(Ordering::Relaxed);
-    report.stats.steals += shared.steals.load(Ordering::Relaxed) as usize;
-    report.stats.steal_fails += shared.steal_fails.load(Ordering::Relaxed) as usize;
     let mut first_witness = report
         .stats
         .first_witness_states
@@ -592,9 +586,6 @@ pub(crate) fn explore_parallel(
     for local in locals {
         report.stats.schedules += local.stats.schedules;
         report.stats.steps += local.stats.steps;
-        report.stats.arena_lock_waits += local.stats.arena_lock_waits;
-        report.stats.memo_lock_waits += local.stats.memo_lock_waits;
-        report.stats.local_cache_hits += local.stats.local_cache_hits;
         if let (Some(s), Some(d)) = (
             local.stats.first_witness_states,
             local.stats.first_witness_depth,
@@ -631,14 +622,12 @@ pub(crate) fn explore_parallel(
 
 /// One worker: pop the private frontier, expand, push successors back
 /// privately, donate when peers are hungry, steal when empty. Returns
-/// the worker-local report (steps, schedules, violations,
-/// first-witness metrics, and this thread's exact lock-wait and
-/// cache-hit deltas).
+/// the worker-local report (steps, schedules, violations and
+/// first-witness metrics).
 fn worker(explorer: &Explorer<'_>, shared: &Shared<'_>, threads: usize) -> Report {
     let me = shared.next_worker.fetch_add(1, Ordering::Relaxed) % threads;
     let options = &explorer.options;
     let dedup = options.dedup_states;
-    let tls_before = sct_symx::thread_stats();
     let mut frontier = options.strategy.frontier();
     let mut attempt = 0u64;
     let mut local = Report::default();
@@ -681,7 +670,7 @@ fn worker(explorer: &Explorer<'_>, shared: &Shared<'_>, threads: usize) -> Repor
             {
                 shared.truncated.store(true, Ordering::Relaxed);
                 shared.stop_all();
-                return finish_local(local, &tls_before, &mut util, me);
+                return finish_local(local, &mut util, me);
             }
             if shared
                 .states
@@ -743,21 +732,12 @@ fn worker(explorer: &Explorer<'_>, shared: &Shared<'_>, threads: usize) -> Repor
         shared.finish_state();
         util.busy_ns += expand_timer.stamp();
     }
-    finish_local(local, &tls_before, &mut util, me)
+    finish_local(local, &mut util, me)
 }
 
-/// Stamp the worker's exact thread-local deltas into its report and
-/// publish its utilization counters.
-fn finish_local(
-    mut local: Report,
-    tls_before: &sct_symx::ThreadStats,
-    util: &mut WorkerUtil,
-    me: usize,
-) -> Report {
-    let tls = sct_symx::thread_stats().since(tls_before);
-    local.stats.arena_lock_waits = tls.arena_lock_waits as usize;
-    local.stats.memo_lock_waits = tls.memo_lock_waits as usize;
-    local.stats.local_cache_hits = tls.local_cache_hits() as usize;
+/// Publish the worker's utilization counters and buffered telemetry,
+/// and hand back its report.
+fn finish_local(local: Report, util: &mut WorkerUtil, me: usize) -> Report {
     util.publish(me);
     sct_symx::flush_thread_telemetry();
     local
@@ -818,7 +798,6 @@ fn acquire(
                 None => continue,
             }
         }
-        shared.steal_fails.fetch_add(1, Ordering::Relaxed);
         let park = shared.park.lock().unwrap_or_else(PoisonError::into_inner);
         if shared.stop.load(Ordering::Acquire) || shared.published.load(Ordering::Acquire) > 0 {
             continue;
@@ -857,9 +836,6 @@ fn grab_batch(
             std::mem::take(&mut *buf)
         };
         shared.published.fetch_sub(batch.len(), Ordering::AcqRel);
-        if v != me {
-            shared.steals.fetch_add(1, Ordering::Relaxed);
-        }
         for s in batch {
             frontier.push(s);
         }

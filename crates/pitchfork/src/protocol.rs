@@ -902,20 +902,6 @@ fn explore_stats_to_json(s: &ExploreStats) -> Json {
             Json::Int(s.solver_memo_evicted as i128),
         ),
         ("threads".into(), Json::Int(s.threads as i128)),
-        (
-            "arena_lock_waits".into(),
-            Json::Int(s.arena_lock_waits as i128),
-        ),
-        (
-            "memo_lock_waits".into(),
-            Json::Int(s.memo_lock_waits as i128),
-        ),
-        ("steals".into(), Json::Int(s.steals as i128)),
-        ("steal_fails".into(), Json::Int(s.steal_fails as i128)),
-        (
-            "local_cache_hits".into(),
-            Json::Int(s.local_cache_hits as i128),
-        ),
         ("truncated".into(), Json::Bool(s.truncated)),
         ("deadline_exceeded".into(), Json::Bool(s.deadline_exceeded)),
     ])
@@ -946,11 +932,6 @@ fn explore_stats_from_json(json: &Json) -> Result<ExploreStats, ProtocolError> {
         solver_memo_misses: json.u64_field("solver_memo_misses")? as usize,
         solver_memo_evicted: json.u64_field("solver_memo_evicted")? as usize,
         threads: json.u64_field("threads")? as usize,
-        arena_lock_waits: json.u64_field("arena_lock_waits")? as usize,
-        memo_lock_waits: json.u64_field("memo_lock_waits")? as usize,
-        steals: json.u64_field("steals")? as usize,
-        steal_fails: json.u64_field("steal_fails")? as usize,
-        local_cache_hits: json.u64_field("local_cache_hits")? as usize,
         truncated: json.bool_field("truncated")?,
         deadline_exceeded: json.bool_field("deadline_exceeded")?,
     })
@@ -1049,7 +1030,7 @@ fn violation_from_json(json: &Json) -> Result<WireViolation, ProtocolError> {
 
 /// The `ServiceStats` wire schema: every field's wire name, in stable
 /// order, paired with its slot. Every field is required on parse.
-fn service_stat_fields(s: &mut ServiceStats) -> [(&'static str, &mut u64); 32] {
+fn service_stat_fields(s: &mut ServiceStats) -> [(&'static str, &mut u64); 27] {
     [
         ("jobs_submitted", &mut s.jobs_submitted),
         ("jobs_done", &mut s.jobs_done),
@@ -1068,11 +1049,6 @@ fn service_stat_fields(s: &mut ServiceStats) -> [(&'static str, &mut u64); 32] {
         ("last_reload_nodes", &mut s.last_reload_nodes),
         ("last_reload_verdicts", &mut s.last_reload_verdicts),
         ("in_flight", &mut s.in_flight),
-        ("arena_lock_waits", &mut s.arena_lock_waits),
-        ("memo_lock_waits", &mut s.memo_lock_waits),
-        ("steals", &mut s.steals),
-        ("steal_fails", &mut s.steal_fails),
-        ("local_cache_hits", &mut s.local_cache_hits),
         ("queue_wait_ms_total", &mut s.queue_wait_ms_total),
         ("run_ms_total", &mut s.run_ms_total),
         ("jobs_timed", &mut s.jobs_timed),
@@ -1531,7 +1507,7 @@ mod tests {
                 },
                 metrics: vec![
                     MetricSnapshot {
-                        name: "job_events_dropped".into(),
+                        name: "cache_quarantined_total".into(),
                         kind: MetricKind::Counter,
                         value: 3,
                         sum_ns: 0,
@@ -1574,6 +1550,29 @@ mod tests {
         }
     }
 
+    /// The keys of `line`'s `stats` object, in written order.
+    fn stats_keys(line: &str) -> Vec<String> {
+        match Json::parse(line).unwrap().get("stats") {
+            Some(Json::Obj(members)) => members.iter().map(|(k, _)| k.clone()).collect(),
+            other => panic!("no stats object in {line}: {other:?}"),
+        }
+    }
+
+    /// A finished job's verdicts line with default exploration stats.
+    fn verdicts_line() -> String {
+        Response::Verdicts {
+            id: 1,
+            status: JobStatus::Done,
+            verdict: Some(Verdict::Secure),
+            stats: Some(ExploreStats::default()),
+            violations: vec![],
+            error: None,
+            elapsed_ms: Some(3),
+            clamped_states: None,
+        }
+        .to_line()
+    }
+
     #[test]
     fn stats_lines_missing_a_field_are_rejected() {
         // One schema: a stats object lacking any service counter is an
@@ -1597,39 +1596,15 @@ mod tests {
                 );
             }
         }
-        // Every exploration counter of a verdicts line is required too.
-        let verdicts = Response::Verdicts {
-            id: 1,
-            status: JobStatus::Done,
-            verdict: Some(Verdict::Secure),
-            stats: Some(ExploreStats::default()),
-            violations: vec![],
-            error: None,
-            elapsed_ms: Some(3),
-            clamped_states: None,
-        }
-        .to_line();
+        // Every exploration counter of a verdicts line is required too;
+        // only the first-witness metrics may be absent.
+        let verdicts = verdicts_line();
         assert!(Response::parse(&verdicts).is_ok());
-        for key in [
-            "states",
-            "deduped",
-            "frontier_peak",
-            "schedules",
-            "steps",
-            "solver_queries",
-            "solver_memo_hits",
-            "solver_memo_misses",
-            "solver_memo_evicted",
-            "threads",
-            "arena_lock_waits",
-            "memo_lock_waits",
-            "steals",
-            "steal_fails",
-            "local_cache_hits",
-            "truncated",
-            "deadline_exceeded",
-        ] {
-            let cut = without_field(&verdicts, key);
+        for key in stats_keys(&verdicts) {
+            if key.starts_with("first_witness_") {
+                continue;
+            }
+            let cut = without_field(&verdicts, &key);
             assert!(
                 Response::parse(&cut).is_err(),
                 "accepted without `{key}`: {cut}"
@@ -1638,6 +1613,68 @@ mod tests {
         // So is an event batch's retention-drop count.
         let batch = r#"{"resp":"events","id":1,"events":[],"next":0,"done":true}"#;
         assert!(Response::parse(batch).is_err());
+    }
+
+    /// Both counter objects, key for key and in order: a counter can
+    /// join the wire only by joining these lists.
+    #[test]
+    fn stats_schemas_are_pinned() {
+        assert_eq!(
+            stats_keys(&verdicts_line()),
+            [
+                "strategy",
+                "first_witness_states",
+                "first_witness_depth",
+                "states",
+                "deduped",
+                "frontier_peak",
+                "schedules",
+                "steps",
+                "solver_queries",
+                "solver_memo_hits",
+                "solver_memo_misses",
+                "solver_memo_evicted",
+                "threads",
+                "truncated",
+                "deadline_exceeded",
+            ]
+        );
+        let stats = Response::Stats {
+            stats: ServiceStats::default(),
+        }
+        .to_line();
+        assert_eq!(
+            stats_keys(&stats),
+            [
+                "jobs_submitted",
+                "jobs_done",
+                "jobs_failed",
+                "queued",
+                "epochs_retired",
+                "jobs_since_retire",
+                "arena_nodes",
+                "arena_epoch",
+                "memo_entries",
+                "memo_capacity",
+                "memo_hits",
+                "memo_misses",
+                "memo_evicted",
+                "memo_stale_dropped",
+                "last_reload_nodes",
+                "last_reload_verdicts",
+                "in_flight",
+                "queue_wait_ms_total",
+                "run_ms_total",
+                "jobs_timed",
+                "events_dropped",
+                "jobs_cancelled",
+                "budget_clamped_jobs",
+                "seed_nodes_added",
+                "seed_verdicts_imported",
+                "jobs_timed_out",
+                "jobs_replayed",
+            ]
+        );
     }
 
     #[test]

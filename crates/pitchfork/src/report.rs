@@ -128,23 +128,6 @@ pub struct ExploreStats {
     pub solver_memo_evicted: usize,
     /// Worker threads the exploration ran on (1 = the serial engine).
     pub threads: usize,
-    /// Contended expression-interner lock acquisitions while this
-    /// exploration ran (delta of the process-wide counter; the
-    /// shard-contention signal the parallel engine is judged by).
-    pub arena_lock_waits: usize,
-    /// Contended solver-memo lock acquisitions while this exploration
-    /// ran (same delta-of-global caveat).
-    pub memo_lock_waits: usize,
-    /// Cross-worker batch steals the work-stealing engine performed
-    /// (0 under the serial engine).
-    pub steals: usize,
-    /// Steal sweeps that found every donation buffer empty (the worker
-    /// parked afterwards).
-    pub steal_fails: usize,
-    /// Intern constructions and solver queries answered by a worker's
-    /// thread-local L1 cache, touching no shared lock (summed exactly
-    /// over this exploration's workers — no delta-of-global caveat).
-    pub local_cache_hits: usize,
     /// `true` when exploration hit the state budget and stopped early.
     pub truncated: bool,
     /// `true` when exploration stopped because the wall-clock deadline
@@ -171,11 +154,6 @@ impl Default for ExploreStats {
             solver_memo_misses: 0,
             solver_memo_evicted: 0,
             threads: 1,
-            arena_lock_waits: 0,
-            memo_lock_waits: 0,
-            steals: 0,
-            steal_fails: 0,
-            local_cache_hits: 0,
             truncated: false,
             deadline_exceeded: false,
         }

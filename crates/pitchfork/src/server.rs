@@ -601,11 +601,6 @@ fn apply_seed_chunk(
             let nodes = stats.arena.added as u64;
             let verdicts = stats.memo.imported as u64;
             service.note_seed(nodes, verdicts);
-            if sct_telemetry::enabled() {
-                sct_telemetry::counter(sct_telemetry::names::SEED_NODES_ADDED).add(nodes);
-                sct_telemetry::counter(sct_telemetry::names::SEED_VERDICTS_IMPORTED)
-                    .add(verdicts);
-            }
             Response::Seeded { nodes, verdicts }
         }
     }

@@ -46,8 +46,6 @@ static QUEUE_WAIT_HIST: LazyLock<&'static sct_telemetry::Histogram> =
     LazyLock::new(|| sct_telemetry::histogram(sct_telemetry::names::JOB_QUEUE_WAIT));
 static RUN_HIST: LazyLock<&'static sct_telemetry::Histogram> =
     LazyLock::new(|| sct_telemetry::histogram(sct_telemetry::names::JOB_RUN));
-static EVENTS_DROPPED_CTR: LazyLock<&'static sct_telemetry::Counter> =
-    LazyLock::new(|| sct_telemetry::counter(sct_telemetry::names::EVENTS_DROPPED));
 
 /// A service-assigned job identifier, unique within one
 /// [`SessionService`] (and one daemon): the handle every status, event,
@@ -369,22 +367,6 @@ pub struct ServiceStats {
     /// Jobs currently executing (0 or 1 on a single-worker daemon;
     /// up to `--jobs K` under concurrent execution).
     pub in_flight: u64,
-    /// Cumulative contended interner-lock acquisitions (process-wide;
-    /// the shard-contention signal for concurrent jobs and parallel
-    /// frontiers).
-    pub arena_lock_waits: u64,
-    /// Cumulative contended solver-memo-lock acquisitions.
-    pub memo_lock_waits: u64,
-    /// Cross-worker batch steals summed over every finished job's
-    /// report (exact per-job attribution — concurrent jobs each roll
-    /// up their own workers' counters, unlike the process-wide
-    /// lock-wait gauges above).
-    pub steals: u64,
-    /// Failed steal sweeps (worker parked) summed over finished jobs.
-    pub steal_fails: u64,
-    /// Thread-local L1 cache hits (interner + verdict memo) summed
-    /// over finished jobs.
-    pub local_cache_hits: u64,
     /// Milliseconds jobs spent queued before execution, summed over
     /// finished jobs.
     pub queue_wait_ms_total: u64,
@@ -741,9 +723,6 @@ impl ServiceMonitor {
                     j.tail.pop_front();
                     j.events_dropped += 1;
                     *events_dropped_total += 1;
-                    if sct_telemetry::enabled() {
-                        EVENTS_DROPPED_CTR.inc();
-                    }
                 }
             }
         }
@@ -918,11 +897,11 @@ impl FinishedJob {
 /// [`PreparedJob`], [`PreparedJob::run`] analyzes it off the service
 /// lock, and [`SessionService::finish`] publishes the result. The
 /// drivers only differ in how many jobs they keep in flight:
-/// [`SessionService::run_pending`] runs one at a time,
-/// [`SessionService::run_concurrent`] runs K at once against the
-/// lock-striped arena/memo, and [`crate::server`] spawns `--jobs K`
-/// worker threads. Epoch retirement — the one operation that must be
-/// alone — is deferred until the in-flight count drains.
+/// [`SessionService::run_pending`] runs one at a time, and
+/// [`crate::server`] spawns `--jobs K` worker threads that run K at
+/// once against the lock-striped arena/memo. Epoch retirement — the
+/// one operation that must be alone — is deferred until the in-flight
+/// count drains.
 pub struct SessionService {
     session: AnalysisSession,
     monitor: ServiceMonitor,
@@ -931,10 +910,10 @@ pub struct SessionService {
     queue: VecDeque<(JobId, Job, Instant)>,
     next_id: u64,
     policy: RetirePolicy,
-    jobs_since_retire: usize,
-    jobs_done: u64,
-    jobs_failed: u64,
-    jobs_submitted: u64,
+    /// The job counters behind [`SessionService::stats`]. Its live
+    /// gauges (queue, in-flight, epochs, arena, memo, reload, events
+    /// dropped) stay zero here and are read at each call.
+    counts: ServiceStats,
     /// Jobs begun via [`SessionService::begin_next`] and not yet
     /// finished — the guard that keeps epoch retirement (which
     /// invalidates every live `ExprRef`) from running under a job.
@@ -944,31 +923,6 @@ pub struct SessionService {
     retire_deferred: bool,
     last_reload: Option<sct_cache::LoadStats>,
     last_retire_error: Option<String>,
-    /// Work-stealing counters rolled up from every finished job's
-    /// report in `finish`, so jobs run concurrently off the service
-    /// lock are attributed exactly rather than sampled from a
-    /// process-wide gauge at quiesce.
-    job_steals: u64,
-    job_steal_fails: u64,
-    job_local_cache_hits: u64,
-    /// Job-latency roll-ups (the wire `Stats` v4 field group): total
-    /// queue wait, total run time, and how many jobs they cover.
-    queue_wait_ms_total: u64,
-    run_ms_total: u64,
-    jobs_timed: u64,
-    /// Jobs stopped by cancellation (queued reaps + mid-run stops).
-    jobs_cancelled: u64,
-    /// Jobs whose requested state budget was clamped to the daemon cap.
-    budget_clamped_jobs: u64,
-    /// Arena nodes / verdicts imported by `Seed` snapshot requests
-    /// (fleet warm-start), reported by the transport via
-    /// [`SessionService::note_seed`].
-    seed_nodes_added: u64,
-    seed_verdicts_imported: u64,
-    /// Jobs whose wall-clock deadline expired mid-run.
-    jobs_timed_out: u64,
-    /// Jobs re-submitted from the write-ahead journal on restart.
-    jobs_replayed: u64,
 }
 
 impl SessionService {
@@ -990,26 +944,11 @@ impl SessionService {
             queue: VecDeque::new(),
             next_id: 1,
             policy,
-            jobs_since_retire: 0,
-            jobs_done: 0,
-            jobs_failed: 0,
-            jobs_submitted: 0,
+            counts: ServiceStats::default(),
             in_flight: 0,
             retire_deferred: false,
             last_reload: None,
             last_retire_error: None,
-            job_steals: 0,
-            job_steal_fails: 0,
-            job_local_cache_hits: 0,
-            queue_wait_ms_total: 0,
-            run_ms_total: 0,
-            jobs_timed: 0,
-            jobs_cancelled: 0,
-            budget_clamped_jobs: 0,
-            seed_nodes_added: 0,
-            seed_verdicts_imported: 0,
-            jobs_timed_out: 0,
-            jobs_replayed: 0,
         }
     }
 
@@ -1017,25 +956,14 @@ impl SessionService {
     /// of this service (fleet warm-start shipping): the counts land in
     /// [`ServiceStats`] so a scraped worker shows its warm start.
     pub fn note_seed(&mut self, nodes: u64, verdicts: u64) {
-        self.seed_nodes_added += nodes;
-        self.seed_verdicts_imported += verdicts;
-    }
-
-    /// Count one deadline expiry (stats counter + telemetry family).
-    fn note_timeout(&mut self) {
-        self.jobs_timed_out += 1;
-        if sct_telemetry::enabled() {
-            sct_telemetry::counter(sct_telemetry::names::JOB_DEADLINE_EXCEEDED).inc();
-        }
+        self.counts.seed_nodes_added += nodes;
+        self.counts.seed_verdicts_imported += verdicts;
     }
 
     /// Count jobs re-submitted from the daemon's write-ahead journal
     /// on restart (reported by [`crate::server`] after replay).
     pub fn note_replayed(&mut self, jobs: u64) {
-        self.jobs_replayed += jobs;
-        if sct_telemetry::enabled() {
-            sct_telemetry::counter(sct_telemetry::names::JOURNAL_REPLAYED).add(jobs);
-        }
+        self.counts.jobs_replayed += jobs;
     }
 
     /// Roll one finished job's latencies into the service totals and —
@@ -1044,22 +972,13 @@ impl SessionService {
     /// names a concrete submission (jobs are low-rate; no thread-local
     /// buffering needed).
     fn note_job_timing(&mut self, id: JobId, queue_wait_ns: u64, run_ns: u64) {
-        self.queue_wait_ms_total += queue_wait_ns / 1_000_000;
-        self.run_ms_total += run_ns / 1_000_000;
-        self.jobs_timed += 1;
+        self.counts.queue_wait_ms_total += queue_wait_ns / 1_000_000;
+        self.counts.run_ms_total += run_ns / 1_000_000;
+        self.counts.jobs_timed += 1;
         if sct_telemetry::enabled() {
             QUEUE_WAIT_HIST.observe_ns_tagged(queue_wait_ns, id.as_u64());
             RUN_HIST.observe_ns_tagged(run_ns, id.as_u64());
         }
-    }
-
-    /// Roll one finished job's work-stealing counters into the
-    /// service totals (exact — each job's report already sums its own
-    /// workers).
-    fn absorb_job_stats(&mut self, stats: &crate::report::ExploreStats) {
-        self.job_steals += stats.steals as u64;
-        self.job_steal_fails += stats.steal_fails as u64;
-        self.job_local_cache_hits += stats.local_cache_hits as u64;
     }
 
     /// The wrapped session (options, cache binding, epoch counters).
@@ -1088,7 +1007,7 @@ impl SessionService {
     /// reaches it (FIFO).
     pub fn submit(&mut self, job: Job) -> JobId {
         let id = self.fresh_id();
-        self.jobs_submitted += 1;
+        self.counts.jobs_submitted += 1;
         self.monitor
             .add_job(id, job.name.clone(), JobStatus::Queued, None);
         self.queue.push_back((id, job, Instant::now()));
@@ -1110,8 +1029,8 @@ impl SessionService {
             Ok(job) => self.submit(job),
             Err(e) => {
                 let id = self.fresh_id();
-                self.jobs_submitted += 1;
-                self.jobs_failed += 1;
+                self.counts.jobs_submitted += 1;
+                self.counts.jobs_failed += 1;
                 self.monitor
                     .add_job(id, name, JobStatus::Failed, Some(e.to_string()));
                 id
@@ -1146,7 +1065,7 @@ impl SessionService {
     fn resolve_state_budget(&mut self, id: JobId, requested: Option<usize>, cap: usize) -> usize {
         match requested {
             Some(r) if r > cap => {
-                self.budget_clamped_jobs += 1;
+                self.counts.budget_clamped_jobs += 1;
                 self.monitor.note_clamp(id, cap as u64);
                 cap
             }
@@ -1198,7 +1117,7 @@ impl SessionService {
                 .cancel_handle(id)
                 .is_some_and(|c| c.load(Ordering::Acquire))
             {
-                self.jobs_cancelled += 1;
+                self.counts.jobs_cancelled += 1;
                 self.monitor.finish_unrun_cancelled(id);
                 continue;
             }
@@ -1242,22 +1161,22 @@ impl SessionService {
         // An explicit `Cancel` wins over a deadline expiry when both
         // raced: the client asked for the stop it observed.
         let status = if done.cancelled {
-            self.jobs_cancelled += 1;
+            self.counts.jobs_cancelled += 1;
             JobStatus::Cancelled
         } else if done.timed_out {
-            self.note_timeout();
+            self.counts.jobs_timed_out += 1;
             JobStatus::TimedOut
         } else {
-            self.jobs_done += 1;
+            self.counts.jobs_done += 1;
             JobStatus::Done
         };
-        self.jobs_since_retire += 1;
-        self.absorb_job_stats(&done.report.stats);
+        self.counts.jobs_since_retire += 1;
         self.note_job_timing(done.id, done.queue_wait_ns, done.run_ns);
         let due = self.retire_deferred
-            || self
-                .policy
-                .due(self.jobs_since_retire, sct_symx::arena_stats().nodes);
+            || self.policy.due(
+                self.counts.jobs_since_retire as usize,
+                sct_symx::arena_stats().nodes,
+            );
         if due {
             if self.in_flight == 0 {
                 if let Err(e) = self.retire() {
@@ -1280,54 +1199,6 @@ impl SessionService {
         self.monitor.finish(done.id, done.report, status);
     }
 
-    /// Drain the queue on `workers` concurrent job threads (each job
-    /// may itself run a multi-threaded frontier per its spec). Jobs
-    /// run against the shared lock-striped arena/memo and are
-    /// finalized **as each completes** — records flip to `Done` and
-    /// event streams close exactly as under
-    /// [`SessionService::run_pending`], without waiting for the whole
-    /// batch (a slow job never delays a fast job's terminal status).
-    /// Completion order — and therefore which job triggers a policy
-    /// retirement — is timing-dependent. Returns how many jobs ran.
-    pub fn run_concurrent(&mut self, workers: usize) -> usize {
-        let workers = workers.max(1);
-        let mut batch = VecDeque::new();
-        while let Some(p) = self.begin_next() {
-            batch.push_back(p);
-        }
-        if batch.is_empty() {
-            return 0;
-        }
-        let ran = batch.len();
-        let pool = workers.min(ran);
-        let queue = Mutex::new(batch);
-        // Workers borrow the service through a mutex only for the
-        // brief `finish` critical section; nothing else can reach the
-        // service meanwhile (the caller holds `&mut self`).
-        let service = Mutex::new(&mut *self);
-        std::thread::scope(|scope| {
-            for _ in 0..pool {
-                scope.spawn(|| loop {
-                    let job = queue
-                        .lock()
-                        .unwrap_or_else(PoisonError::into_inner)
-                        .pop_front();
-                    match job {
-                        Some(j) => {
-                            let done = j.run();
-                            service
-                                .lock()
-                                .unwrap_or_else(PoisonError::into_inner)
-                                .finish(done);
-                        }
-                        None => break,
-                    }
-                });
-            }
-        });
-        ran
-    }
-
     /// Retire the session's arena epoch now (snapshot save → retire →
     /// warm-start; see [`AnalysisSession::retire`]) and reset the
     /// policy's job counter.
@@ -1342,7 +1213,7 @@ impl SessionService {
             return Ok(None);
         }
         let reload = self.session.retire()?;
-        self.jobs_since_retire = 0;
+        self.counts.jobs_since_retire = 0;
         self.retire_deferred = false;
         self.last_reload = reload;
         self.last_retire_error = None;
@@ -1361,14 +1232,8 @@ impl SessionService {
         let memo = sct_symx::solver_memo_stats();
         ServiceStats {
             in_flight: self.in_flight as u64,
-            arena_lock_waits: arena.lock_waits,
-            memo_lock_waits: memo.lock_waits,
-            jobs_submitted: self.jobs_submitted,
-            jobs_done: self.jobs_done,
-            jobs_failed: self.jobs_failed,
             queued: self.queue.len() as u64,
             epochs_retired: self.session.epochs_retired() as u64,
-            jobs_since_retire: self.jobs_since_retire as u64,
             arena_nodes: arena.nodes as u64,
             arena_epoch: arena.epoch,
             memo_entries: memo.entries as u64,
@@ -1379,19 +1244,8 @@ impl SessionService {
             memo_stale_dropped: memo.stale_dropped,
             last_reload_nodes: self.last_reload.map_or(0, |l| l.added as u64),
             last_reload_verdicts: self.last_reload.map_or(0, |l| l.verdicts_imported as u64),
-            steals: self.job_steals,
-            steal_fails: self.job_steal_fails,
-            local_cache_hits: self.job_local_cache_hits,
-            queue_wait_ms_total: self.queue_wait_ms_total,
-            run_ms_total: self.run_ms_total,
-            jobs_timed: self.jobs_timed,
             events_dropped: self.monitor.events_dropped_total(),
-            jobs_cancelled: self.jobs_cancelled,
-            budget_clamped_jobs: self.budget_clamped_jobs,
-            seed_nodes_added: self.seed_nodes_added,
-            seed_verdicts_imported: self.seed_verdicts_imported,
-            jobs_timed_out: self.jobs_timed_out,
-            jobs_replayed: self.jobs_replayed,
+            ..self.counts
         }
     }
 }
@@ -1539,7 +1393,27 @@ mod tests {
         let ids: Vec<_> = (0..4)
             .map(|i| svc.submit(Job::new(format!("job{i}"), p.clone(), cfg.clone())))
             .collect();
-        assert_eq!(svc.run_concurrent(3), 4);
+        // Three workers drive the jobs the way `server::worker_loop`
+        // does: take the service lock only to begin and to finish a
+        // job, and analyze off it.
+        let shared = Mutex::new(svc);
+        std::thread::scope(|scope| {
+            for _ in 0..3 {
+                scope.spawn(|| loop {
+                    let job = shared
+                        .lock()
+                        .unwrap_or_else(PoisonError::into_inner)
+                        .begin_next();
+                    let Some(job) = job else { break };
+                    let done = job.run();
+                    shared
+                        .lock()
+                        .unwrap_or_else(PoisonError::into_inner)
+                        .finish(done);
+                });
+            }
+        });
+        let svc = shared.into_inner().unwrap_or_else(PoisonError::into_inner);
         assert_eq!(svc.in_flight(), 0);
         let monitor = svc.monitor();
         for id in ids {
@@ -1572,7 +1446,7 @@ mod tests {
             ..JobSpec::default()
         };
         let id = svc.submit(Job::with_spec("fig1-par", p, cfg, spec));
-        svc.run_concurrent(1);
+        svc.run_pending();
         let report = svc.record(id).unwrap().report.unwrap();
         assert_eq!(report.stats.threads, 2);
         assert!(report.verdict().is_insecure());

@@ -378,19 +378,23 @@ fn corrupt_snapshot_is_quarantined_not_fatal() {
     let _ = std::fs::remove_file(&cache);
     let _ = std::fs::remove_file(&bad);
     std::fs::write(&cache, b"these are not snapshot bytes").unwrap();
-    match sct_cache::load_or_quarantine(&cache) {
-        sct_cache::DegradedLoad::Quarantined { moved_to, .. } => {
-            assert_eq!(moved_to.as_deref(), Some(bad.as_path()));
-        }
-        other => panic!("corrupt snapshot must quarantine, got {other:?}"),
-    }
+    // The CLI's degrade path: the cached build fails, the file is
+    // quarantined, and a cold build takes over.
+    let built = SessionBuilder::new().v1_mode(16).cache(&cache).build();
+    assert!(built.is_err(), "a corrupt snapshot fails the cached build");
+    assert_eq!(
+        sct_cache::quarantine(&cache).as_deref(),
+        Some(bad.as_path())
+    );
     assert!(!cache.exists(), "the corrupt file was moved aside");
     assert!(bad.exists(), "the evidence is preserved at PATH.bad");
     // A missing path is an ordinary cold start, not a quarantine.
-    assert!(matches!(
-        sct_cache::load_or_quarantine(&cache),
-        sct_cache::DegradedLoad::Missing
-    ));
+    let cold = SessionBuilder::new()
+        .v1_mode(16)
+        .cache(&cache)
+        .build()
+        .expect("a missing snapshot builds cold");
+    assert!(cold.cache_load().is_none());
     let _ = std::fs::remove_file(&bad);
 }
 
@@ -410,7 +414,7 @@ fn injected_snapshot_bit_flip_degrades_to_cold_start() {
     donor.save().expect("save").expect("snapshot written");
 
     sct_faults::install(Plan::new(3).point(FaultPoint::SnapshotBitFlip, Trigger::At(1)));
-    let outcome = sct_cache::load_or_quarantine(&cache);
+    let built = SessionBuilder::new().v1_mode(16).cache(&cache).build();
     let flipped = sct_faults::fired(FaultPoint::SnapshotBitFlip);
     sct_faults::disarm();
     assert_eq!(flipped, 1, "the load passed through the bit-flip point");
@@ -418,14 +422,22 @@ fn injected_snapshot_bit_flip_degrades_to_cold_start() {
     // error → quarantine) — either way the process survived and the
     // arena was not poisoned; what is forbidden is pretending the load
     // was clean when decode failed.
-    match outcome {
-        sct_cache::DegradedLoad::Quarantined { .. } => {
+    match built {
+        Err(_) => {
+            assert_eq!(
+                sct_cache::quarantine(&cache).as_deref(),
+                Some(bad.as_path())
+            );
             assert!(bad.exists(), "quarantine preserved the corrupt image");
+            SessionBuilder::new()
+                .v1_mode(16)
+                .build()
+                .expect("cold build");
         }
-        sct_cache::DegradedLoad::Loaded(_) => {
+        Ok(session) => {
             // The flip landed somewhere the codec tolerates; fine.
+            assert!(session.cache_load().is_some(), "the snapshot existed");
         }
-        sct_cache::DegradedLoad::Missing => panic!("the snapshot existed"),
     }
     let _ = std::fs::remove_file(&cache);
     let _ = std::fs::remove_file(&bad);

@@ -110,11 +110,6 @@ fn random_explore_stats(rng: &mut SmallRng) -> ExploreStats {
         solver_memo_misses: rng.gen_range(0..100_000),
         solver_memo_evicted: rng.gen_range(0..100_000),
         threads: rng.gen_range(1..16),
-        arena_lock_waits: rng.gen_range(0..100_000),
-        memo_lock_waits: rng.gen_range(0..100_000),
-        steals: rng.gen_range(0..100_000),
-        steal_fails: rng.gen_range(0..100_000),
-        local_cache_hits: rng.gen_range(0..10_000_000),
         truncated: rng.gen_bool(0.5),
         deadline_exceeded: rng.gen_bool(0.5),
     }
@@ -173,11 +168,6 @@ fn random_service_stats(rng: &mut SmallRng) -> ServiceStats {
         last_reload_nodes: rng.gen(),
         last_reload_verdicts: rng.gen(),
         in_flight: rng.gen(),
-        arena_lock_waits: rng.gen(),
-        memo_lock_waits: rng.gen(),
-        steals: rng.gen(),
-        steal_fails: rng.gen(),
-        local_cache_hits: rng.gen(),
         queue_wait_ms_total: rng.gen(),
         run_ms_total: rng.gen(),
         jobs_timed: rng.gen(),

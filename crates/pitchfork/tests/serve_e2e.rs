@@ -361,12 +361,33 @@ fn concurrent_job_workers_serve_parallel_submissions() {
     let mut session = SessionBuilder::new().v1_mode(16).build().unwrap();
     let (p, cfg) = fig1();
     let direct = session.analyze(&p, &cfg);
-    for id in ids {
+    for (i, id) in ids.into_iter().enumerate() {
         let view = client.wait(id, WAIT).unwrap();
         assert_eq!(view.status, JobStatus::Done);
         assert_eq!(view.verdict.as_ref(), Some(&direct.verdict()));
         let stats = view.stats.expect("done job has stats");
         assert_eq!(stats.states, direct.stats.states);
+        // Event streams stayed per-job under concurrency: each log has
+        // exactly its job's expansions and closes with its own
+        // terminal event.
+        let mut events = Vec::new();
+        client
+            .stream_events(id, 0, |e| events.push(e.clone()))
+            .unwrap();
+        let expanded = events
+            .iter()
+            .filter(|e| matches!(e, OwnedEvent::StateExpanded { .. }))
+            .count();
+        assert_eq!(expanded, stats.states);
+        assert!(
+            matches!(
+                events.last(),
+                Some(OwnedEvent::ItemFinished { name, flagged: true, .. })
+                    if *name == format!("fig1-{i}")
+            ),
+            "{:?}",
+            events.last()
+        );
     }
     let stats = client.shutdown().unwrap();
     assert_eq!(stats.jobs_done, 6);

@@ -19,9 +19,7 @@
 //! already interned) takes a single shard *read* lock — concurrent
 //! readers never block each other. The id encodes the shard in its low
 //! bits, so resolving an id to its node is a single read-lock on the
-//! owning shard; no global lock exists at all. Failed `try_lock`
-//! attempts are counted ([`ArenaStats::lock_waits`]) so contention is
-//! visible without a profiler.
+//! owning shard; no global lock exists at all.
 //!
 //! The arena is shared by every analysis in the process (see
 //! [`arena_stats`]); batch runs over many programs — and parallel
@@ -30,13 +28,13 @@
 
 use sct_core::op::{self, OpCode};
 use sct_core::Val;
-use std::cell::{Cell, RefCell};
+use std::cell::RefCell;
 use std::collections::{BTreeSet, HashMap};
 use std::fmt;
 use std::hash::{Hash, Hasher};
 use std::rc::Rc;
 use std::sync::atomic::{AtomicU64, Ordering};
-use std::sync::{LazyLock, PoisonError, RwLock, RwLockReadGuard, RwLockWriteGuard, TryLockError};
+use std::sync::{LazyLock, PoisonError, RwLock, RwLockReadGuard, RwLockWriteGuard};
 
 /// Bits of an [`ExprRef`] holding the arena index; the remaining high
 /// bits hold the epoch tag (see [`retire_arena`]).
@@ -274,9 +272,6 @@ static SEQ: AtomicU64 = AtomicU64::new(0);
 /// Memoized application-constructor hits/misses (process-wide).
 static APP_HITS: AtomicU64 = AtomicU64::new(0);
 static APP_MISSES: AtomicU64 = AtomicU64::new(0);
-/// Shard lock acquisitions that found the lock contended (the `try_*`
-/// probe failed and the caller had to block).
-static LOCK_WAITS: AtomicU64 = AtomicU64::new(0);
 
 // ----- thread-local L1 caches ---------------------------------------------
 //
@@ -327,12 +322,6 @@ impl LocalCaches {
 
 thread_local! {
     static LOCAL_CACHES: RefCell<Option<LocalCaches>> = const { RefCell::new(None) };
-    /// Per-thread mirror of [`LOCK_WAITS`]: exact contention
-    /// attribution for parallel workers (the global atomic stays the
-    /// process-wide roll-up).
-    static TLS_LOCK_WAITS: Cell<u64> = const { Cell::new(0) };
-    /// Per-thread count of thread-cache hits (constants + applications).
-    static TLS_LOCAL_HITS: Cell<u64> = const { Cell::new(0) };
 }
 
 /// Run `f` on this thread's L1 caches, allocating them on first use and
@@ -368,10 +357,6 @@ fn local_app_slot(opcode: OpCode, args: &[ExprRef]) -> usize {
     (h >> 32) as usize & (LOCAL_APP_SLOTS - 1)
 }
 
-fn note_local_hit() {
-    TLS_LOCAL_HITS.with(|h| h.set(h.get() + 1));
-}
-
 /// Drop the calling thread's L1 intern caches (the shared arena is
 /// untouched).
 pub(crate) fn flush_local_caches() {
@@ -381,18 +366,6 @@ pub(crate) fn flush_local_caches() {
             c.apps.fill(None);
         }
     });
-}
-
-/// This thread's cumulative contended interner-lock acquisitions
-/// (the thread's share of [`arena_lock_waits`]).
-pub(crate) fn tls_lock_waits() -> u64 {
-    TLS_LOCK_WAITS.with(Cell::get)
-}
-
-/// This thread's cumulative thread-cache hits (see the module notes on
-/// thread-local L1 caches).
-pub(crate) fn tls_local_hits() -> u64 {
-    TLS_LOCAL_HITS.with(Cell::get)
 }
 
 /// The deterministic structural hash the dedup index is keyed by
@@ -407,31 +380,15 @@ fn shard_of_hash(h: u64) -> usize {
     (h as usize) & (NUM_SHARDS - 1)
 }
 
-/// Read-lock a shard, counting contention. Poisoned locks are ignored
-/// because shards are append-only and stay structurally valid.
+/// Read-lock a shard. Poisoned locks are ignored because shards are
+/// append-only and stay structurally valid.
 fn read_shard(i: usize) -> RwLockReadGuard<'static, Shard> {
-    match ARENA.shards[i].try_read() {
-        Ok(g) => g,
-        Err(TryLockError::Poisoned(p)) => p.into_inner(),
-        Err(TryLockError::WouldBlock) => {
-            LOCK_WAITS.fetch_add(1, Ordering::Relaxed);
-            TLS_LOCK_WAITS.with(|w| w.set(w.get() + 1));
-            ARENA.shards[i].read().unwrap_or_else(PoisonError::into_inner)
-        }
-    }
+    ARENA.shards[i].read().unwrap_or_else(PoisonError::into_inner)
 }
 
-/// Write-lock a shard, counting contention.
+/// Write-lock a shard (poison ignored, as in [`read_shard`]).
 fn write_shard(i: usize) -> RwLockWriteGuard<'static, Shard> {
-    match ARENA.shards[i].try_write() {
-        Ok(g) => g,
-        Err(TryLockError::Poisoned(p)) => p.into_inner(),
-        Err(TryLockError::WouldBlock) => {
-            LOCK_WAITS.fetch_add(1, Ordering::Relaxed);
-            TLS_LOCK_WAITS.with(|w| w.set(w.get() + 1));
-            ARENA.shards[i].write().unwrap_or_else(PoisonError::into_inner)
-        }
-    }
+    ARENA.shards[i].write().unwrap_or_else(PoisonError::into_inner)
 }
 
 /// The current epoch's tag. Loaded while a shard lock is held so the
@@ -488,7 +445,6 @@ pub(crate) fn constant_global(v: u64) -> ExprRef {
         Some((val, bits)) if val == v => Some(ExprRef(bits)),
         _ => None,
     }) {
-        note_local_hit();
         return hit;
     }
     let e = intern_node(Node::Const(v)).0;
@@ -538,7 +494,6 @@ pub(crate) fn app_global(opcode: OpCode, args: Vec<ExprRef>) -> ExprRef {
             _ => None,
         }) {
             APP_HITS.fetch_add(1, Ordering::Relaxed);
-            note_local_hit();
             return hit;
         }
         let mut entry = LocalApp {
@@ -789,11 +744,6 @@ pub struct ArenaStats {
     /// layout this is a hash and an id per node; the old node-keyed
     /// layout paid `node_bytes` again here.
     pub dedup_bytes: usize,
-    /// Shard-lock acquisitions that had to block (the uncontended
-    /// `try_lock` probe failed). The roll-up of every shard's
-    /// contention; explorations report the delta as
-    /// `arena_lock_waits`.
-    pub lock_waits: u64,
     /// Lock stripes the interner is divided into.
     pub shards: usize,
 }
@@ -823,15 +773,8 @@ pub fn arena_stats() -> ArenaStats {
             + child_slots * std::mem::size_of::<ExprRef>(),
         dedup_bytes: dedup_len * (std::mem::size_of::<u64>() + std::mem::size_of::<u32>())
             + overflow_ids * std::mem::size_of::<u32>(),
-        lock_waits: LOCK_WAITS.load(Ordering::Relaxed),
         shards: NUM_SHARDS,
     }
-}
-
-/// Cumulative count of contended interner-lock acquisitions (see
-/// [`ArenaStats::lock_waits`]).
-pub fn arena_lock_waits() -> u64 {
-    LOCK_WAITS.load(Ordering::Relaxed)
 }
 
 /// The current arena epoch. References interned before the last

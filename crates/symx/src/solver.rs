@@ -51,11 +51,11 @@ use crate::expr::{Expr, LocalView, Model, VarId};
 use crate::interval::{provably_false_in, VarIntervals};
 use rand::rngs::SmallRng;
 use rand::{Rng, SeedableRng};
-use std::cell::{Cell, RefCell};
+use std::cell::RefCell;
 use std::collections::{BTreeSet, HashMap};
 use std::hash::{Hash, Hasher};
 use std::sync::atomic::{AtomicU64, AtomicUsize, Ordering};
-use std::sync::{LazyLock, Mutex, MutexGuard, PoisonError, TryLockError};
+use std::sync::{LazyLock, Mutex, MutexGuard, PoisonError};
 
 /// The solver's answer.
 #[derive(Clone, PartialEq, Eq, Debug)]
@@ -208,22 +208,12 @@ static MEMO_TICK: AtomicU64 = AtomicU64::new(0);
 static MEMO_TOTAL: AtomicUsize = AtomicUsize::new(0);
 /// The global capacity cap (one budget shared by all stripes).
 static MEMO_CAPACITY: AtomicUsize = AtomicUsize::new(DEFAULT_MEMO_CAPACITY);
-/// Contended memo-lock acquisitions (the `try_lock` probe failed).
-static MEMO_LOCK_WAITS: AtomicU64 = AtomicU64::new(0);
 /// Serializes eviction passes (the passes lock stripes one at a time;
 /// two concurrent passes would double-evict).
 static EVICT_LOCK: Mutex<()> = Mutex::new(());
 
 fn lock_memo(i: usize) -> MutexGuard<'static, MemoShard> {
-    match MEMO[i].try_lock() {
-        Ok(g) => g,
-        Err(TryLockError::Poisoned(p)) => p.into_inner(),
-        Err(TryLockError::WouldBlock) => {
-            MEMO_LOCK_WAITS.fetch_add(1, Ordering::Relaxed);
-            TLS_MEMO_WAITS.with(|w| w.set(w.get() + 1));
-            MEMO[i].lock().unwrap_or_else(PoisonError::into_inner)
-        }
-    }
+    MEMO[i].lock().unwrap_or_else(PoisonError::into_inner)
 }
 
 // ----- thread-local memo-read cache ---------------------------------------
@@ -249,11 +239,6 @@ struct LocalMemo {
 
 thread_local! {
     static LOCAL_MEMO: RefCell<Option<LocalMemo>> = const { RefCell::new(None) };
-    /// Per-thread mirror of [`MEMO_LOCK_WAITS`] (exact attribution for
-    /// parallel workers).
-    static TLS_MEMO_WAITS: Cell<u64> = const { Cell::new(0) };
-    /// Per-thread count of thread-cache verdict hits.
-    static TLS_MEMO_HITS: Cell<u64> = const { Cell::new(0) };
 }
 
 /// Queries answered by a thread-local verdict cache (process-wide).
@@ -355,17 +340,6 @@ pub(crate) fn flush_local_memo() {
             m.slots.fill(None);
         }
     });
-}
-
-/// This thread's cumulative contended memo-lock acquisitions (the
-/// thread's share of [`solver_memo_lock_waits`]).
-pub(crate) fn tls_memo_waits() -> u64 {
-    TLS_MEMO_WAITS.with(Cell::get)
-}
-
-/// This thread's cumulative thread-cache verdict hits.
-pub(crate) fn tls_memo_hits() -> u64 {
-    TLS_MEMO_HITS.with(Cell::get)
 }
 
 fn next_tick() -> u64 {
@@ -470,10 +444,6 @@ pub struct SolverMemoStats {
     pub entries: usize,
     /// The capacity the memo is capped at.
     pub capacity: usize,
-    /// Memo-lock acquisitions that had to block (the uncontended
-    /// `try_lock` probe failed). Explorations report the delta as
-    /// `memo_lock_waits`.
-    pub lock_waits: u64,
     /// Lock stripes the memo is divided into.
     pub shards: usize,
 }
@@ -487,7 +457,6 @@ pub fn solver_memo_stats() -> SolverMemoStats {
         queries: tls_hits,
         hits: tls_hits,
         capacity: MEMO_CAPACITY.load(Ordering::Relaxed),
-        lock_waits: MEMO_LOCK_WAITS.load(Ordering::Relaxed),
         shards: MEMO_SHARDS,
         ..SolverMemoStats::default()
     };
@@ -501,12 +470,6 @@ pub fn solver_memo_stats() -> SolverMemoStats {
         stats.entries += m.entries.len();
     }
     stats
-}
-
-/// Cumulative count of contended memo-lock acquisitions (see
-/// [`SolverMemoStats::lock_waits`]).
-pub fn solver_memo_lock_waits() -> u64 {
-    MEMO_LOCK_WAITS.load(Ordering::Relaxed)
 }
 
 /// Drop every memoized verdict: ids are arena references, so a retired
@@ -637,7 +600,6 @@ impl Solver {
         // L0: the thread-local read cache — no shared lock on a hit.
         if let Some(v) = local_memo_get(&key) {
             MEMO_TLS_HITS.fetch_add(1, Ordering::Relaxed);
-            TLS_MEMO_HITS.with(|h| h.set(h.get() + 1));
             if let Some(ns) = sct_telemetry::span_ns(span) {
                 record_check_span(true, ns);
             }

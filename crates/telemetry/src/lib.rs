@@ -16,8 +16,7 @@
 //! * **Recording is lock-free.** The shared [`Histogram`] uses relaxed
 //!   atomics; the hot paths go further and batch into a thread-owned
 //!   [`LocalHist`] — plain integer bumps, no shared cache line —
-//!   **flushed on drop** (and optionally every N records), in the style
-//!   of `sct-symx`'s `ThreadStats` thread-local counters.
+//!   **flushed on drop** (and optionally every N records).
 //! * **Registration is get-or-create by name.** Metric structs are
 //!   leaked on first registration so call sites can hold a
 //!   `&'static Histogram` in a `LazyLock` and pay the registry lock
@@ -600,14 +599,6 @@ pub mod names {
     pub const JOB_QUEUE_WAIT: &str = "job_queue_wait_ns";
     /// Daemon job run latency (dequeue → finished).
     pub const JOB_RUN: &str = "job_run_ns";
-    /// Per-job events dropped by the bounded retention window.
-    pub const EVENTS_DROPPED: &str = "job_events_dropped";
-    /// Arena nodes imported from warm-start snapshots shipped over
-    /// `seed` requests.
-    pub const SEED_NODES_ADDED: &str = "seed_nodes_added";
-    /// Memoised verdicts imported from warm-start snapshots shipped
-    /// over `seed` requests.
-    pub const SEED_VERDICTS_IMPORTED: &str = "seed_verdicts_imported";
     /// Entries whose baseline verdict an incremental run replayed
     /// without exploring (fingerprint unchanged).
     pub const INCR_REUSE_TOTAL: &str = "incr_reuse_total";
@@ -620,12 +611,6 @@ pub mod names {
     /// Faults the `sct-faults` injector has fired (all points summed;
     /// zero in any run without an armed `SCT_FAULTS` plan).
     pub const FAULT_INJECTED: &str = "fault_injected_total";
-    /// Jobs stopped by their per-job wall-clock deadline
-    /// (`--deadline-ms`), ending as `timed-out`.
-    pub const JOB_DEADLINE_EXCEEDED: &str = "job_deadline_exceeded_total";
-    /// Jobs re-submitted from the write-ahead journal on daemon
-    /// restart (`--serve --journal PATH`).
-    pub const JOURNAL_REPLAYED: &str = "journal_replayed_total";
     /// Corrupt cache snapshots / baselines quarantined with a `.bad`
     /// rename and degraded to a cold start.
     pub const CACHE_QUARANTINED: &str = "cache_quarantined_total";
