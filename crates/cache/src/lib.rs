@@ -17,7 +17,7 @@
 //!   compose.
 //! * **Solver verdict memoization** — `Solver::check` results keyed by
 //!   the canonical sorted constraint-id vector and the solver-options
-//!   tag ([`sct_symx::export_solver_memo`]), persisted alongside the
+//!   tag ([`sct_symx::export_all`]), persisted alongside the
 //!   arena and remapped through the same table on load.
 //! * **Epoch lifecycle** — [`sct_symx::retire_arena`] lets a long-lived
 //!   process drop the whole arena (and the verdict memo with it)

@@ -15,9 +15,20 @@
 //!   once per (bound, symbolized-register set). Re-assembling an
 //!   unchanged file reproduces the fingerprint bit-for-bit; editing one
 //!   instruction, or one `.reg`, `.public` or `.secret` line, moves it.
+//! * [`source_key`] — a second, cheaper key for an entry given as
+//!   `.sasm` text: one FNV-1a 64 pass over the config tag,
+//!   [`ASSEMBLY_SEMANTICS`] and the raw source bytes.
+//!   [`sct_asm::assemble`] is a pure function of the text (no includes,
+//!   no environment, no filesystem), so text whose key matches a
+//!   record's assembles to the program and configuration that record's
+//!   fingerprint was taken over. Bump [`ASSEMBLY_SEMANTICS`] whenever
+//!   the assembler can turn the same text into another program or
+//!   configuration; a unit test pins the assembled litmus corpus to
+//!   catch a change that forgot to.
 //! * [`BaselineManifest`] — one record per entry from a previous run,
-//!   indexed by name: the fingerprint plus the verdict summary (verdict,
-//!   states, schedules, strategy, truncation) from which
+//!   indexed by name: the fingerprint, the source key when the entry
+//!   was planned from text, and the verdict summary (verdict, states,
+//!   schedules, strategy, truncation) from which
 //!   [`BaselineEntry::line`] re-renders the entry's report line.
 //!   Persisted as line-oriented JSON next to the pruned warm-start
 //!   snapshot ([`save_baseline`] writes both).
@@ -25,15 +36,22 @@
 //!   [`EntryPlan::Unchanged`] (replay the baseline verdict, zero
 //!   exploration), [`EntryPlan::Dirty`] (re-explore against the warm
 //!   memo), or [`EntryPlan::New`].
-//! * [`IncrementalGate`] — the gate itself: plans a batch, replays the
-//!   unchanged entries, takes a fresh result for every other one, and
-//!   builds the [`IncrementalReport`].
+//! * [`IncrementalGate`] — the gate itself: plans each entry, replays
+//!   the unchanged ones, takes a fresh result for every other one, and
+//!   builds the [`IncrementalReport`]. An entry given as source text
+//!   ([`IncrementalGate::plan`]) whose source key matches its record
+//!   replays without being assembled or fingerprinted; any other entry
+//!   is assembled and planned by fingerprint, so a comment-only edit
+//!   still replays (and its record takes the new source key). An entry
+//!   given already assembled ([`IncrementalGate::plan_item`]) is
+//!   planned by fingerprint alone.
 //!
-//! [`crate::AnalysisSession::analyze_incremental`] runs the gate with
-//! its own session as the analyser; `pitchfork ci-gate --connect` runs
-//! the same gate with a daemon as the analyser. The `ci-gate` CLI verb
-//! turns the report into an exit code (any entry flipping from
-//! non-insecure to insecure fails the gate).
+//! [`crate::AnalysisSession::analyze_incremental`] runs the gate over
+//! assembled items with its own session as the analyser; `pitchfork
+//! ci-gate` plans source text and analyses through its session, or with
+//! `--connect` through a daemon. The `ci-gate` CLI verb turns the
+//! report into an exit code (any entry flipping from non-insecure to
+//! insecure fails the gate).
 
 use crate::batch::BatchItem;
 use crate::detector::DetectorOptions;
@@ -126,6 +144,36 @@ pub fn entry_fingerprint(program: &Program, config: &Config, tag: u64) -> u64 {
     h.finish()
 }
 
+/// The version of the assembler's semantics, hashed into every
+/// [`source_key`]. Bump it whenever [`sct_asm::assemble`] can turn the
+/// same text into another program or initial configuration (a directive
+/// or operand that parses to something else, a changed default), so
+/// that no record's source key replays a verdict for text that now
+/// assembles differently. Bump it too when `Program` or `Config` hash
+/// differently, which moves every fingerprint, so that records keep the
+/// fingerprints their text now assembles to. The `assembled_corpus_is_pinned` test fails on any such
+/// change to the litmus corpus's assembly.
+///
+/// 1: the first manifests with source keys.
+pub const ASSEMBLY_SEMANTICS: u64 = 1;
+
+/// The second key of a baseline record, for an entry planned from its
+/// `.sasm` text: FNV-1a 64 over the entry's [`config_tag`],
+/// [`ASSEMBLY_SEMANTICS`] and the raw source bytes. Cheaper than
+/// assembling and fingerprinting, and equal only for the same text
+/// under the same options and assembler.
+pub fn source_key(source: &str, tag: u64) -> u64 {
+    key_under(ASSEMBLY_SEMANTICS, source, tag)
+}
+
+/// [`source_key`] as an assembler with semantics `semantics` computed it.
+fn key_under(semantics: u64, source: &str, tag: u64) -> u64 {
+    let mut h = Fnv::new();
+    (tag, semantics).hash(&mut h);
+    h.write(source.as_bytes());
+    h.finish()
+}
+
 // ----- The baseline manifest ----------------------------------------------
 
 /// One entry of a [`BaselineManifest`]: the fingerprint a verdict was
@@ -137,6 +185,11 @@ pub struct BaselineEntry {
     pub name: String,
     /// [`entry_fingerprint`] of the program + configuration.
     pub fingerprint: u64,
+    /// [`source_key`] of the text the fingerprinted program and
+    /// configuration were assembled from, when the entry was planned
+    /// from source ([`IncrementalGate::plan`]); text with this key
+    /// replays without being assembled.
+    pub src: Option<u64>,
     /// The baseline verdict.
     pub verdict: Verdict,
     /// States the baseline exploration expanded (what a replay skips).
@@ -210,7 +263,8 @@ pub struct BaselineManifest {
 /// unknown version is rejected and the baseline rebuilt from scratch).
 ///
 /// 2: one whole-entry fingerprint per record, no per-block hashes, and
-/// no stored report line.
+/// no stored report line. A record's `src` is optional, so a manifest
+/// without it still loads and plans by fingerprint.
 pub const BASELINE_VERSION: u64 = 2;
 
 impl BaselineManifest {
@@ -261,9 +315,14 @@ impl BaselineManifest {
                 Verdict::Insecure { witnesses } => ("insecure", witnesses, 0),
                 Verdict::Unknown { explored } => ("unknown", 0, explored),
             };
-            Json::Obj(vec![
+            let mut fields = vec![
                 ("entry".into(), Json::Str(e.name.clone())),
                 ("fp".into(), Json::Int(e.fingerprint as i128)),
+            ];
+            if let Some(src) = e.src {
+                fields.push(("src".into(), Json::Int(src as i128)));
+            }
+            fields.extend([
                 ("verdict".into(), Json::Str(kind.into())),
                 ("witnesses".into(), Json::Int(witnesses as i128)),
                 ("explored".into(), Json::Int(explored as i128)),
@@ -271,8 +330,8 @@ impl BaselineManifest {
                 ("schedules".into(), Json::Int(e.schedules as i128)),
                 ("strategy".into(), Json::Str(e.strategy.clone())),
                 ("truncated".into(), Json::Bool(e.truncated)),
-            ])
-            .write(&mut out);
+            ]);
+            Json::Obj(fields).write(&mut out);
             out.push('\n');
         }
         out
@@ -314,6 +373,7 @@ impl BaselineManifest {
             manifest.upsert(BaselineEntry {
                 name: str_of("entry")?,
                 fingerprint: field("fp")?,
+                src: json.opt_u64_field("src").map_err(parse_err)?,
                 verdict,
                 states: field("states")? as usize,
                 schedules: field("schedules")? as usize,
@@ -437,6 +497,9 @@ pub struct IncrementalReport {
     /// States the baseline spent on the entries this run replayed —
     /// the exploration the diff planner skipped.
     pub states_skipped: usize,
+    /// Source entries the planner assembled because their
+    /// [`source_key`] matched no record (0 for items given assembled).
+    pub assembled: usize,
     /// The refreshed manifest (replayed entries carried over, dirty and
     /// new entries updated) — what [`save_baseline`] persists when the
     /// gate passes.
@@ -470,12 +533,14 @@ impl IncrementalReport {
 /// the unchanged ones, take a fresh result for each dirty or new one,
 /// and build the outcomes, the regressions and the refreshed manifest.
 ///
-/// Callers differ only in who analyses the items
-/// [`IncrementalGate::plan`] hands back: a local session
-/// ([`crate::AnalysisSession::analyze_incremental`]) or a daemon
-/// (`pitchfork ci-gate --connect`, which submits each one with every
+/// [`IncrementalGate::plan`] takes an entry's source text and
+/// [`IncrementalGate::plan_item`] an assembled [`BatchItem`]; both hand
+/// a dirty or new entry back, assembled, for the caller to analyse.
+/// Callers differ only in who analyses those items: a local session
+/// ([`crate::AnalysisSession::finish_gate`]) or a daemon (`pitchfork
+/// ci-gate --connect`, which submits each one's source with every
 /// fingerprinted option set explicitly). [`IncrementalGate::finish`]
-/// takes their results, in the order `plan` handed the items back.
+/// takes their results, in the order the items were handed back.
 ///
 /// The refreshed manifest keeps only results that are the analysis
 /// their fingerprint names. A run cut short by its wall-clock deadline
@@ -485,69 +550,139 @@ impl IncrementalReport {
 /// next run still compares against it.
 pub struct IncrementalGate<'a> {
     start: Instant,
+    baseline: &'a BaselineManifest,
+    options: DetectorOptions,
+    /// One config tag per (bound, symbolized-register set).
+    tags: Vec<(usize, Vec<Reg>, u64)>,
     /// Every entry, in input order.
     entries: Vec<Planned<'a>>,
+    /// Source entries assembled so far.
+    assembled: usize,
 }
 
-/// One entry as [`IncrementalGate::plan`] left it.
+/// One entry as the planner left it.
 enum Planned<'a> {
-    /// Unchanged: replayed from its baseline record.
-    Replayed(&'a BaselineEntry),
+    /// Unchanged: replayed from its baseline record. `src` is the
+    /// entry's source key, when it was planned from text.
+    Replayed {
+        old: &'a BaselineEntry,
+        src: Option<u64>,
+    },
     /// Dirty or new: waits for a fresh result. `old` is its baseline
     /// record, if it has one.
     Fresh {
         name: String,
         plan: EntryPlan,
         fingerprint: u64,
+        src: Option<u64>,
         old: Option<&'a BaselineEntry>,
     },
 }
 
 impl<'a> IncrementalGate<'a> {
-    /// Plan `items` under `options` (an item's own `bound` overrides
-    /// the options' one). Unchanged entries are replayed here; the dirty
-    /// and new ones are handed back, in input order, for the caller to
-    /// analyse under the same options.
+    /// A gate planning against `baseline` under `options`, with nothing
+    /// planned yet.
+    pub fn new(baseline: &'a BaselineManifest, options: &DetectorOptions) -> Self {
+        IncrementalGate {
+            start: Instant::now(),
+            baseline,
+            options: *options,
+            tags: Vec::new(),
+            entries: Vec::new(),
+            assembled: 0,
+        }
+    }
+
+    /// Plan the entry `name` from its `.sasm` text, at the options'
+    /// bound with `symbolic` symbolized. When the text's
+    /// [`source_key`] matches the entry's record, the entry replays
+    /// without being assembled or fingerprinted. Otherwise it is
+    /// assembled and planned by fingerprint like
+    /// [`IncrementalGate::plan_item`]: an unchanged program (say, after
+    /// a comment-only edit) replays and its record takes the new key,
+    /// and a dirty or new one is handed back for the caller to analyse.
+    ///
+    /// # Errors
+    ///
+    /// The assembler's error, when the text does not assemble; the entry
+    /// is then left unplanned.
     pub fn plan(
-        baseline: &'a BaselineManifest,
-        options: &DetectorOptions,
-        items: impl IntoIterator<Item = BatchItem>,
-    ) -> (IncrementalGate<'a>, Vec<BatchItem>) {
-        let (start, mut entries, mut dirty) = (Instant::now(), Vec::new(), Vec::new());
-        // One config tag per (bound, symbolized-register set).
-        let mut tags: Vec<(usize, Vec<Reg>, u64)> = Vec::new();
-        for item in items {
-            let bound = item.bound.unwrap_or(options.explorer.spec_bound);
-            let tag = match tags.iter().find(|(b, s, _)| *b == bound && *s == item.symbolic) {
-                Some(&(_, _, tag)) => tag,
-                None => {
-                    let tag = config_tag(options, bound, &item.symbolic);
-                    tags.push((bound, item.symbolic.clone(), tag));
-                    tag
-                }
-            };
-            let fingerprint = entry_fingerprint(&item.program, &item.config, tag);
-            let old = baseline.get(&item.name);
-            match (plan_entry(old, fingerprint), old) {
-                (EntryPlan::Unchanged, Some(old)) => {
-                    if sct_telemetry::enabled() {
-                        sct_telemetry::counter(sct_telemetry::names::INCR_REUSE_TOTAL).inc();
-                    }
-                    entries.push(Planned::Replayed(old));
-                }
-                (plan, _) => {
-                    let name = item.name.clone();
-                    entries.push(Planned::Fresh { name, plan, fingerprint, old });
-                    dirty.push(item);
-                }
+        &mut self,
+        name: &str,
+        source: &str,
+        symbolic: &[Reg],
+    ) -> Result<Option<BatchItem>, sct_asm::AsmError> {
+        let tag = self.tag(self.options.explorer.spec_bound, symbolic);
+        let src = source_key(source, tag);
+        if let Some(old) = self.baseline.get(name).filter(|old| old.src == Some(src)) {
+            self.replay(old, Some(src));
+            return Ok(None);
+        }
+        self.assembled += 1;
+        let asm = sct_asm::assemble(source)?;
+        let item =
+            BatchItem::new(name, asm.program, asm.config).symbolize(symbolic.iter().copied());
+        Ok(self.plan_fingerprinted(item, tag, Some(src)))
+    }
+
+    /// Plan an assembled item by its fingerprint (its own `bound`
+    /// overrides the options' one). Returns the item when it is dirty or
+    /// new, for the caller to analyse under the gate's options; an
+    /// unchanged item replays, and its record keeps its source key.
+    pub fn plan_item(&mut self, item: BatchItem) -> Option<BatchItem> {
+        let bound = item.bound.unwrap_or(self.options.explorer.spec_bound);
+        let tag = self.tag(bound, &item.symbolic);
+        self.plan_fingerprinted(item, tag, None)
+    }
+
+    fn plan_fingerprinted(
+        &mut self,
+        item: BatchItem,
+        tag: u64,
+        src: Option<u64>,
+    ) -> Option<BatchItem> {
+        let fingerprint = entry_fingerprint(&item.program, &item.config, tag);
+        let old = self.baseline.get(&item.name);
+        match (plan_entry(old, fingerprint), old) {
+            (EntryPlan::Unchanged, Some(old)) => {
+                self.replay(old, src);
+                None
+            }
+            (plan, _) => {
+                let name = item.name.clone();
+                self.entries.push(Planned::Fresh {
+                    name,
+                    plan,
+                    fingerprint,
+                    src,
+                    old,
+                });
+                Some(item)
             }
         }
-        (IncrementalGate { start, entries }, dirty)
+    }
+
+    fn replay(&mut self, old: &'a BaselineEntry, src: Option<u64>) {
+        if sct_telemetry::enabled() {
+            sct_telemetry::counter(sct_telemetry::names::INCR_REUSE_TOTAL).inc();
+        }
+        self.entries.push(Planned::Replayed { old, src });
+    }
+
+    /// The config tag for `bound` and `symbolic`, computed once per pair.
+    fn tag(&mut self, bound: usize, symbolic: &[Reg]) -> u64 {
+        let known = self.tags.iter().find(|(b, s, _)| *b == bound && s == symbolic);
+        if let Some(&(_, _, tag)) = known {
+            return tag;
+        }
+        let tag = config_tag(&self.options, bound, symbolic);
+        self.tags.push((bound, symbolic.to_vec(), tag));
+        tag
     }
 
     /// The report: outcomes in input order, the replay and exploration
     /// counts, and the refreshed manifest. `results` holds one result
-    /// per item [`IncrementalGate::plan`] handed back, in that order:
+    /// per item the planner handed back, in that order:
     /// its verdict, its stats, and whether it ran under a smaller state
     /// budget than the options fingerprinted. An item without a result
     /// is left out.
@@ -562,12 +697,13 @@ impl<'a> IncrementalGate<'a> {
             reanalyzed: 0,
             states_explored: 0,
             states_skipped: 0,
+            assembled: self.assembled,
             manifest: BaselineManifest::empty(),
             wall: Default::default(),
         };
         for entry in self.entries {
             let (outcome, record) = match entry {
-                Planned::Replayed(old) => {
+                Planned::Replayed { old, src } => {
                     report.reused += 1;
                     report.states_skipped += old.states;
                     let outcome = IncrementalOutcome {
@@ -579,9 +715,13 @@ impl<'a> IncrementalGate<'a> {
                         flip: None,
                         unrecorded: None,
                     };
-                    (outcome, Some(old.clone()))
+                    let record = BaselineEntry {
+                        src: src.or(old.src),
+                        ..old.clone()
+                    };
+                    (outcome, Some(record))
                 }
-                Planned::Fresh { name, plan, fingerprint, old } => {
+                Planned::Fresh { name, plan, fingerprint, src, old } => {
                     let Some((verdict, stats, clamped)) = results.next() else {
                         continue;
                     };
@@ -593,6 +733,7 @@ impl<'a> IncrementalGate<'a> {
                     let fresh = BaselineEntry {
                         name,
                         fingerprint,
+                        src,
                         verdict,
                         states: stats.states,
                         schedules: stats.schedules,
@@ -661,6 +802,7 @@ out:
         BaselineEntry {
             name: name.into(),
             fingerprint,
+            src: None,
             verdict,
             states: 2,
             schedules: 1,
@@ -732,13 +874,18 @@ out:
             ..record("other \"quoted\"", 7, Verdict::Unknown { explored: 99 })
         });
         m.upsert(record("secure", 0, Verdict::Secure));
-        m.upsert(record("fig1", 3, Verdict::Secure));
+        m.upsert(BaselineEntry {
+            src: Some(u64::MAX - 1),
+            ..record("fig1", 3, Verdict::Secure)
+        });
         let text = m.to_text();
         let parsed = BaselineManifest::from_text(&text).expect("round trip");
         assert_eq!(parsed, m);
         let names: Vec<&str> = parsed.entries().iter().map(|e| e.name.as_str()).collect();
         assert_eq!(names, ["fig1", "other \"quoted\"", "secure"], "insertion order");
         assert_eq!(parsed.get("fig1").map(|e| e.fingerprint), Some(3));
+        assert_eq!(parsed.get("fig1").map(|e| e.src), Some(Some(u64::MAX - 1)));
+        assert_eq!(parsed.get("secure").map(|e| e.src), Some(None));
         assert!(!text.contains("\"line\"") && !text.contains("\"blocks\""), "{text}");
         assert_eq!(
             parsed.get("other \"quoted\"").unwrap().line(),
@@ -851,5 +998,158 @@ start:
             ..insecure.clone()
         };
         assert!(!still_insecure.regressed());
+    }
+    // ----- planning by source key -------------------------------------
+
+    /// One gate run planning `entries` (name, source) from text under
+    /// `options` with `ra` symbolized; every dirty or new entry gets a
+    /// synthesized `secure` result.
+    fn source_run(
+        baseline: &BaselineManifest,
+        options: &DetectorOptions,
+        entries: &[(&str, &str)],
+    ) -> IncrementalReport {
+        let mut gate = IncrementalGate::new(baseline, options);
+        let mut fresh = 0;
+        for (name, source) in entries {
+            fresh += gate.plan(name, source, &[RA]).expect("assembles").is_some() as usize;
+        }
+        let stats = ExploreStats { states: 2, schedules: 1, ..ExploreStats::default() };
+        gate.finish(vec![(Verdict::Secure, stats, false); fresh])
+    }
+
+    /// `manifest` with the fingerprint of `name`'s record flipped, so
+    /// only its source key can replay it.
+    fn with_wrong_fingerprint(manifest: &BaselineManifest, name: &str) -> BaselineManifest {
+        let mut m = manifest.clone();
+        let e = m.get(name).expect("recorded").clone();
+        m.upsert(BaselineEntry { fingerprint: !e.fingerprint, ..e });
+        m
+    }
+
+    #[test]
+    fn a_matching_source_key_replays_without_assembling_or_fingerprinting() {
+        let v1 = DetectorOptions::v1_mode(16);
+        let cold = source_run(&BaselineManifest::empty(), &v1, &[("x", SOURCE)]);
+        assert_eq!((cold.reanalyzed, cold.assembled), (1, 1));
+        let tag = config_tag(&v1, 16, &[RA]);
+        assert_eq!(cold.manifest.get("x").unwrap().src, Some(source_key(SOURCE, tag)));
+
+        let wrong = with_wrong_fingerprint(&cold.manifest, "x");
+        let warm = source_run(&wrong, &v1, &[("x", SOURCE)]);
+        assert_eq!((warm.reused, warm.reanalyzed, warm.assembled), (1, 0, 0));
+        assert_eq!(warm.outcomes[0].plan, EntryPlan::Unchanged);
+        assert_eq!(warm.manifest, wrong, "the record carries over as it was");
+
+        // The wrong fingerprint is really wrong: planned by fingerprint,
+        // the same program is dirty.
+        let asm = assemble(SOURCE).unwrap();
+        let item = BatchItem::new("x", asm.program, asm.config).symbolize([RA]);
+        assert!(IncrementalGate::new(&wrong, &v1).plan_item(item).is_some());
+    }
+
+    #[test]
+    fn a_comment_only_edit_replays_by_fingerprint_then_by_source_key() {
+        let v1 = DetectorOptions::v1_mode(16);
+        let cold = source_run(&BaselineManifest::empty(), &v1, &[("x", SOURCE)]);
+        let edited = format!("{SOURCE}; a comment only\n");
+        let by_fp = source_run(&cold.manifest, &v1, &[("x", &edited)]);
+        assert_eq!((by_fp.reused, by_fp.reanalyzed, by_fp.assembled), (1, 0, 1));
+        let (old, new) = (cold.manifest.get("x").unwrap(), by_fp.manifest.get("x").unwrap());
+        assert_eq!(new.fingerprint, old.fingerprint);
+        assert_eq!(new.src, Some(source_key(&edited, config_tag(&v1, 16, &[RA]))));
+        assert_ne!(new.src, old.src, "the record takes the edited text's key");
+
+        let wrong = with_wrong_fingerprint(&by_fp.manifest, "x");
+        let by_src = source_run(&wrong, &v1, &[("x", &edited)]);
+        assert_eq!((by_src.reused, by_src.reanalyzed, by_src.assembled), (1, 0, 0));
+    }
+
+    #[test]
+    fn other_options_or_assembler_semantics_never_replay_by_source_key() {
+        let v1 = DetectorOptions::v1_mode(16);
+        let cold = source_run(&BaselineManifest::empty(), &v1, &[("x", SOURCE)]);
+        let wrong = with_wrong_fingerprint(&cold.manifest, "x");
+        let plans = |options: &DetectorOptions, symbolic: &[Reg]| {
+            let mut gate = IncrementalGate::new(&wrong, options);
+            gate.plan("x", SOURCE, symbolic).unwrap().is_some()
+        };
+        assert!(!plans(&v1, &[RA]), "same options: replays by source key");
+        assert!(plans(&DetectorOptions::v1_mode(20), &[RA]), "--bound");
+        assert!(plans(&DetectorOptions::v4_mode(16), &[RA]), "--mode");
+        assert!(plans(&v1, &[]), "--symbolic");
+
+        let tag = config_tag(&v1, 16, &[RA]);
+        let mut older = wrong.clone();
+        let e = older.get("x").unwrap().clone();
+        older.upsert(BaselineEntry {
+            src: Some(key_under(ASSEMBLY_SEMANTICS - 1, SOURCE, tag)),
+            ..e
+        });
+        let mut gate = IncrementalGate::new(&older, &v1);
+        assert!(gate.plan("x", SOURCE, &[RA]).unwrap().is_some(), "older assembler");
+    }
+
+    /// `text` with every record's `,"src":N` deleted.
+    fn strip_src(text: &str) -> String {
+        let mut out = String::new();
+        let mut rest = text;
+        while let Some(at) = rest.find(",\"src\":") {
+            out.push_str(&rest[..at]);
+            rest = rest[at + 7..].trim_start_matches(|c: char| c.is_ascii_digit());
+        }
+        out + rest
+    }
+
+    #[test]
+    fn a_manifest_without_source_keys_replays_by_fingerprint_then_assembles_only_dirty_entries() {
+        let v1 = DetectorOptions::v1_mode(16);
+        let other = SOURCE.replace("gt(4, ra)", "gt(3, ra)");
+        let entries = [("a", SOURCE), ("b", other.as_str())];
+        let cold = source_run(&BaselineManifest::empty(), &v1, &entries);
+        let mut keyless = BaselineManifest::empty();
+        for e in cold.manifest.entries() {
+            keyless.upsert(BaselineEntry { src: None, ..e.clone() });
+        }
+        let text = keyless.to_text();
+        assert!(!text.contains("\"src\""), "{text}");
+        assert_eq!(strip_src(&cold.manifest.to_text()), text);
+
+        let parsed = BaselineManifest::from_text(&text).expect("loads");
+        let by_fp = source_run(&parsed, &v1, &entries);
+        assert_eq!((by_fp.reused, by_fp.reanalyzed, by_fp.assembled), (2, 0, 2));
+        assert_eq!(by_fp.manifest, cold.manifest, "every record takes its key");
+
+        let dirty = other.replace("[0x50, rb]", "[0x51, rb]");
+        let next = source_run(&by_fp.manifest, &v1, &[("a", SOURCE), ("b", &dirty)]);
+        assert_eq!((next.reused, next.reanalyzed, next.assembled), (1, 1, 1));
+        assert_eq!(next.outcomes[1].plan, EntryPlan::Dirty);
+    }
+
+    /// The source key assumes `sct_asm::assemble` turns the same text
+    /// into the same program and configuration. Pin what it makes of the
+    /// litmus corpus, so a change that breaks that assumption fails here.
+    #[test]
+    fn assembled_corpus_is_pinned() {
+        let dir = Path::new(env!("CARGO_MANIFEST_DIR")).join("../litmus/corpus");
+        let mut files: Vec<_> = std::fs::read_dir(&dir)
+            .expect("litmus corpus dir exists")
+            .map(|e| e.expect("dir entry").path())
+            .filter(|p| p.extension().is_some_and(|x| x == "sasm"))
+            .collect();
+        files.sort();
+        assert_eq!(files.len(), 23);
+        let mut h = Fnv::new();
+        for path in &files {
+            let asm = assemble(&std::fs::read_to_string(path).unwrap()).expect("assembles");
+            (path.file_name().unwrap().to_str(), &asm.program, &asm.config).hash(&mut h);
+        }
+        assert_eq!(
+            h.finish(),
+            0x1cc1_1a21_aff6_36fc,
+            "the litmus corpus assembles to other programs or configurations: \
+             if the assembler changed, bump `incremental::ASSEMBLY_SEMANTICS` and re-pin; \
+             if only the corpus changed, re-pin",
+        );
     }
 }

@@ -150,10 +150,17 @@
 //! the first `ci-gate` run after an upgrade that changes the explorer's
 //! semantics re-analyses every entry once: no verdict of the older
 //! engine is replayed, and an entry it wrongly called secure fails the
-//! gate as a flip. A passing run persists a [`BaselineManifest`] (one
-//! line-JSON record per entry: name, fingerprint, verdict, states,
-//! schedules, strategy, truncation — the fields the report line is
-//! re-rendered from) next to a **reachability-pruned** cache snapshot
+//! gate as a flip. `ci-gate` plans each file from its text first: a
+//! record also keeps the file's **source key**
+//! ([`incremental::source_key`]: one FNV-1a pass over the config tag,
+//! [`incremental::ASSEMBLY_SEMANTICS`] and the raw bytes), a file whose
+//! key matches its record replays without being assembled, and any
+//! other file is assembled and planned by fingerprint, so a
+//! comment-only edit still replays. A passing run persists a
+//! [`BaselineManifest`] (one line-JSON record per entry: name,
+//! fingerprint, source key, verdict, states, schedules, strategy,
+//! truncation — the fields the report line is re-rendered from) next
+//! to a **reachability-pruned** cache snapshot
 //! (`sct_cache::save_rooted` keeps only arena nodes reachable from
 //! the memoized verdicts, so a months-old baseline doesn't ship every
 //! dead expression ever interned; the pruned-vs-unpruned equivalence

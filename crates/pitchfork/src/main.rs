@@ -49,11 +49,10 @@ use pitchfork::service::{
     JobId, JobMode, JobSpec, JobStatus, RetirePolicy, ServiceStats, SessionService,
 };
 use pitchfork::{
-    AnalysisSession, BaselineManifest, BatchItem, DetectorOptions, EntryPlan, IncrementalGate,
+    AnalysisSession, BaselineManifest, DetectorOptions, EntryPlan, IncrementalGate,
     IncrementalReport, SessionBuilder, StrategyKind,
 };
 use sct_core::Reg;
-use std::collections::BTreeMap;
 use std::path::Path;
 use std::process::ExitCode;
 use std::time::Duration;
@@ -118,10 +117,12 @@ fn usage() -> ! {
     eprintln!("metric collection entirely.");
     eprintln!();
     eprintln!("ci-gate re-analyzes a corpus against the baseline saved in --baseline");
-    eprintln!("DIR: entries whose per-entry fingerprint (program + initial registers and");
-    eprintln!("memory + analysis config) is unchanged replay their recorded verdict lines");
-    eprintln!("byte-identically with zero exploration; dirty or new entries re-run");
-    eprintln!("against the baseline's warm-start snapshot. Exit 0 promotes the refreshed");
+    eprintln!("DIR. An entry replays its recorded verdict line byte-identically with zero");
+    eprintln!("exploration when its source text is unchanged (it is not even assembled),");
+    eprintln!("or when it assembles to an unchanged fingerprint (program + initial");
+    eprintln!("registers and memory + analysis config), as after a comment-only edit;");
+    eprintln!("dirty or new entries re-run against the baseline's warm-start snapshot,");
+    eprintln!("and a file that fails to assemble exits 2. Exit 0 promotes the refreshed");
     eprintln!("baseline, exit 3 means an entry flipped to insecure (the baseline is left");
     eprintln!("untouched). With --connect the dirty and new entries run on the daemon,");
     eprintln!("submitted with every fingerprinted option explicit: same output, same");
@@ -1035,10 +1036,11 @@ fn run_metrics(args: Vec<String>) -> ExitCode {
 
 /// `pitchfork ci-gate --baseline DIR FILE...`: diff-aware re-analysis
 /// against a persisted baseline, through [`IncrementalGate`].
-/// Unchanged entries (by per-entry fingerprint) replay their recorded
-/// verdict lines byte-identically with zero exploration; dirty or new
-/// entries are re-analyzed — here against the baseline's warm-start
-/// snapshot, or with `--connect` by a daemon (see [`connect_gate`]).
+/// Unchanged entries (by source key, else by per-entry fingerprint)
+/// replay their recorded verdict lines byte-identically with zero
+/// exploration; dirty or new entries are re-analyzed — here against the
+/// baseline's warm-start snapshot, or with `--connect` by a daemon (see
+/// [`connect_gate`]).
 /// Stdout, exit codes and the refreshed manifest are the same either
 /// way. Exit 0 promotes the refreshed baseline; a secure→insecure flip
 /// exits 3 and leaves the baseline untouched.
@@ -1102,9 +1104,12 @@ fn run_ci_gate(args: Vec<String>) -> ExitCode {
         let builder = || SessionBuilder::new().options(options);
         open_cached(builder, &dir.join(BaselineManifest::CACHE_NAME), "ci-gate:").0
     });
-    let mut items = Vec::new();
-    // Source text is kept only for a daemon to analyse.
-    let mut sources = BTreeMap::new();
+    // Plan each file from its source text: an entry whose source key
+    // matches its record replays unassembled. The dirty and new ones
+    // come back assembled; locally the session analyses them, and a
+    // daemon is sent their source text instead.
+    let mut gate = IncrementalGate::new(&baseline, &options);
+    let (mut fresh, mut submits) = (Vec::new(), Vec::new());
     for file in &args.files {
         let src = match std::fs::read_to_string(file) {
             Ok(s) => s,
@@ -1113,24 +1118,19 @@ fn run_ci_gate(args: Vec<String>) -> ExitCode {
                 return ExitCode::from(2);
             }
         };
-        let asm = match sct_asm::assemble(&src) {
-            Ok(a) => a,
+        match gate.plan(file, &src, &args.symbolic) {
+            Ok(None) => {}
+            Ok(Some(item)) if session.is_some() => fresh.push(item),
+            Ok(Some(item)) => submits.push((item.name, src)),
             Err(e) => {
                 eprintln!("{file}: {e}");
                 return ExitCode::from(2);
             }
-        };
-        items.push(
-            BatchItem::new(file.clone(), asm.program, asm.config)
-                .symbolize(args.symbolic.iter().copied()),
-        );
-        if session.is_none() {
-            sources.insert(file.clone(), src);
         }
     }
     let report = match session {
-        Some(mut session) => session.analyze_incremental(items, &baseline),
-        None => match connect_gate(&args, &options, items, &sources, &baseline) {
+        Some(mut session) => session.finish_gate(gate, fresh),
+        None => match connect_gate(&args, &options, gate, submits) {
             Ok(report) => report,
             Err(code) => return code,
         },
@@ -1196,19 +1196,18 @@ fn run_ci_gate(args: Vec<String>) -> ExitCode {
     ExitCode::SUCCESS
 }
 
-/// The `--connect` analyser of [`run_ci_gate`]: plan and replay here,
-/// and submit each dirty or new entry to the daemon as a plain job
-/// whose spec sets every fingerprinted option explicitly (bound,
-/// strategy, state budget), so the daemon runs exactly the analysis
-/// the fingerprint names whatever its own defaults. A budget the
-/// daemon clamps is reported to the gate, which then keeps the entry's
-/// previous record.
+/// The `--connect` analyser of [`run_ci_gate`]: `gate` planned and
+/// replayed here, and each dirty or new entry in `submits` (its name and
+/// source text) goes to the daemon as a plain job whose spec sets every
+/// fingerprinted option explicitly (bound, strategy, state budget), so
+/// the daemon runs exactly the analysis the fingerprint names whatever
+/// its own defaults. A budget the daemon clamps is reported to the
+/// gate, which then keeps the entry's previous record.
 fn connect_gate(
     args: &ClientArgs,
     options: &DetectorOptions,
-    items: Vec<BatchItem>,
-    sources: &BTreeMap<String, String>,
-    baseline: &BaselineManifest,
+    gate: IncrementalGate<'_>,
+    submits: Vec<(String, String)>,
 ) -> Result<IncrementalReport, ExitCode> {
     let spec = JobSpec {
         mode: args.mode,
@@ -1219,17 +1218,16 @@ fn connect_gate(
         max_states: Some(options.explorer.max_states),
         deadline_ms: options.explorer.deadline_ms,
     };
-    let (gate, dirty) = IncrementalGate::plan(baseline, options, items);
     let mut client = connect(args);
     let failed = |file: &str, e: &dyn std::fmt::Display| {
         eprintln!("{file}: {e}");
         ExitCode::from(2)
     };
     let mut jobs = Vec::new();
-    for item in dirty {
-        let source = sources[&item.name].clone();
-        let submitted = client.submit_source(item.name.clone(), source, spec.clone());
-        jobs.push((item.name.clone(), submitted.map_err(|e| failed(&item.name, &e))?));
+    for (file, source) in submits {
+        let submitted = client.submit_source(file.clone(), source, spec.clone());
+        let id = submitted.map_err(|e| failed(&file, &e))?;
+        jobs.push((file, id));
     }
     let mut results = Vec::with_capacity(jobs.len());
     for (file, id) in jobs {

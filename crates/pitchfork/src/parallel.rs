@@ -7,8 +7,8 @@
 //! process-wide expression arena / solver memo (which `sct-symx`
 //! lock-stripes and fronts with thread-local L1 caches; see its crate
 //! docs). The engine runs a persistent worker pool over exactly the
-//! serial engine's expansion logic ([`Explorer::continuations`] /
-//! [`Explorer::apply`] are shared code, not reimplementations), with a
+//! serial engine's expansion logic (`Explorer::continuations` /
+//! `Explorer::apply` are shared code, not reimplementations), with a
 //! **work-stealing** frontier:
 //!
 //! * **Per-worker frontiers** — every worker owns a private
@@ -19,7 +19,7 @@
 //!   timing).
 //! * **Batch donation and stealing** — a worker whose push leaves
 //!   hungry peers (`hungry > 0`) pops half its frontier (its
-//!   highest-priority states, capped at [`MAX_DONATION`]) into its
+//!   highest-priority states, capped at `MAX_DONATION`) into its
 //!   donation buffer, a small mutex-guarded vector nobody touches on
 //!   the hot path. A worker whose own frontier drains sweeps the
 //!   donation buffers — its own first, then the others starting from a

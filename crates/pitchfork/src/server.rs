@@ -5,7 +5,7 @@
 //! std-only, thread-per-connection. A pool of **job worker** threads
 //! (size = [`Server::bind_with_workers`]'s `job_workers`, CLI
 //! `--jobs K`, default 1) executes queued jobs: each worker takes the
-//! service lock only long enough to pop a [`PreparedJob`], runs the
+//! service lock only long enough to pop a [`PreparedJob`](crate::service::PreparedJob), runs the
 //! analysis with **no lock held** — the expression arena and solver
 //! memo are lock-striped process-wide state, so K jobs proceed
 //! genuinely in parallel — and re-locks briefly to publish the result.

@@ -346,7 +346,8 @@ impl AnalysisSession {
     /// re-exploring only dirty or new entries, through
     /// [`AnalysisSession::run_batch`] — typically against the warm memo
     /// hydrated from the baseline's pruned snapshot. This is the
-    /// [`IncrementalGate`] with this session as its analyser.
+    /// [`IncrementalGate`] with this session as its analyser, planning
+    /// assembled items by fingerprint.
     ///
     /// The returned report carries the refreshed manifest (see
     /// [`crate::incremental::save_baseline`]) and flags verdict flips;
@@ -358,8 +359,24 @@ impl AnalysisSession {
         items: impl IntoIterator<Item = BatchItem>,
         baseline: &BaselineManifest,
     ) -> IncrementalReport {
-        let (gate, dirty) = IncrementalGate::plan(baseline, &self.options, items);
-        let results = self.run_batch(dirty).outcomes.into_iter();
+        let mut gate = IncrementalGate::new(baseline, &self.options);
+        let fresh: Vec<BatchItem> = items
+            .into_iter()
+            .filter_map(|item| gate.plan_item(item))
+            .collect();
+        self.finish_gate(gate, fresh)
+    }
+
+    /// Analyse the dirty and new items `gate` handed back, in the order
+    /// it handed them back, and finish its report. The gate must plan
+    /// under this session's options; `pitchfork ci-gate` plans each
+    /// entry's source text ([`IncrementalGate::plan`]) and ends here.
+    pub fn finish_gate(
+        &mut self,
+        gate: IncrementalGate<'_>,
+        fresh: Vec<BatchItem>,
+    ) -> IncrementalReport {
+        let results = self.run_batch(fresh).outcomes.into_iter();
         gate.finish(results.map(|o| (o.report.verdict(), o.report.stats, false)))
     }
 

@@ -5,12 +5,13 @@
 //! replace the entry's baseline record.
 
 use pitchfork::server::Server;
-use pitchfork::service::SessionService;
+use pitchfork::service::{JobMode, SessionService};
 use pitchfork::{
     BaselineEntry, BaselineManifest, BatchItem, DetectorOptions, EntryPlan, ExploreStats,
     IncrementalGate, IncrementalReport, SessionBuilder, StrategyKind, Verdict,
 };
 use sct_core::examples::fig1;
+use sct_core::reg::names::RA;
 use std::ffi::OsStr;
 use std::path::{Path, PathBuf};
 use std::process::Command;
@@ -150,6 +151,65 @@ fn a_version_1_baseline_is_rejected_and_the_gate_runs_cold() {
     let _ = std::fs::remove_dir_all(&dir);
 }
 
+/// A file that no longer assembles is an operational error: exit 2,
+/// the assembler's message, nothing on stdout, and the baseline left as
+/// it was, although every other entry still matches its record by
+/// source key and so replays unassembled.
+#[test]
+fn a_file_that_fails_to_assemble_exits_2_and_leaves_the_baseline_untouched() {
+    let work = temp_path("asm_error");
+    let _ = std::fs::remove_dir_all(&work);
+    std::fs::create_dir_all(&work).unwrap();
+    let files: Vec<String> = corpus_files()
+        .iter()
+        .map(|f| {
+            let copy = work.join(Path::new(f).file_name().unwrap());
+            std::fs::copy(f, &copy).unwrap();
+            copy.to_string_lossy().into_owned()
+        })
+        .collect();
+    let dir = work.join("baseline");
+    gate(&dir, &[], &files);
+    let read = |name: &str| std::fs::read(dir.join(name)).unwrap();
+    let cold = (read(BaselineManifest::FILE_NAME), read(BaselineManifest::CACHE_NAME));
+
+    // The last file, so the gate plans every other entry first.
+    let broken = files.last().unwrap();
+    let mut text = std::fs::read_to_string(broken).unwrap();
+    text.push_str("this is not sasm\n");
+    std::fs::write(broken, text).unwrap();
+    let out = Command::new(env!("CARGO_BIN_EXE_pitchfork"))
+        .args(["ci-gate", "--baseline"])
+        .arg(&dir)
+        .args(["--symbolic", "ra"])
+        .args(&files)
+        .output()
+        .expect("pitchfork binary runs");
+    let stderr = String::from_utf8_lossy(&out.stderr);
+    assert_eq!(out.status.code(), Some(2), "{stderr}");
+    assert!(out.stdout.is_empty());
+    assert!(stderr.contains(&format!("{broken}: ")) && stderr.contains("unknown mnemonic"), "{stderr}");
+    assert!(!stderr.contains("ci-gate: PASS"), "{stderr}");
+    let after = (read(BaselineManifest::FILE_NAME), read(BaselineManifest::CACHE_NAME));
+    assert!(after == cold, "the baseline changed");
+
+    let manifest = BaselineManifest::load_dir(&dir).expect("manifest readable");
+    let mut planner = IncrementalGate::new(&manifest, &JobMode::V1.options(20));
+    let mut failed = Vec::new();
+    for file in &files {
+        let source = std::fs::read_to_string(file).unwrap();
+        match planner.plan(file, &source, &[RA]) {
+            Ok(None) => {}
+            Ok(Some(_)) => panic!("{file} planned dirty"),
+            Err(_) => failed.push(file),
+        }
+    }
+    assert_eq!(failed, [broken]);
+    let report = planner.finish(Vec::new());
+    assert_eq!((report.reused, report.assembled), (files.len() - 1, 1));
+    let _ = std::fs::remove_dir_all(&work);
+}
+
 /// The verdict block goes out through one buffered write; a reader that
 /// has already gone (`ci-gate ... | head -0`) must still leave the gate
 /// quiet: no panic, no error, the same exit code and baseline.
@@ -196,8 +256,8 @@ fn run(
 ) -> IncrementalReport {
     let (program, config) = fig1();
     let item = BatchItem { bound, ..BatchItem::new("fig1", program, config) };
-    let (gate, dirty) = IncrementalGate::plan(baseline, &DetectorOptions::v1_mode(16), [item]);
-    assert_eq!(dirty.len(), 1, "fig1 is dirty or new");
+    let mut gate = IncrementalGate::new(baseline, &DetectorOptions::v1_mode(16));
+    assert!(gate.plan_item(item).is_some(), "fig1 is dirty or new");
     gate.finish([(verdict, *stats, clamped)])
 }
 

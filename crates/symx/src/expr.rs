@@ -114,8 +114,8 @@ pub(crate) enum Node {
 /// arbitrary but stable within a process epoch, which is what the
 /// explorer needs to canonicalize path-condition sets.
 ///
-/// The 32 bits are split: the low [`INDEX_BITS`] index into the arena
-/// (their own low [`SHARD_BITS`] naming the owning shard), the high
+/// The 32 bits are split: the low `INDEX_BITS` (24) index into the arena
+/// (their own low `SHARD_BITS` (4) naming the owning shard), the high
 /// bits carry the arena's epoch tag at interning time. After
 /// [`retire_arena`] the tag no longer matches, so using a retired
 /// reference panics loudly instead of silently reading an unrelated

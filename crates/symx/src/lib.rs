@@ -8,18 +8,18 @@
 //!   every distinct expression is stored once, and the simplifying
 //!   constructor [`ExprRef::app`] is memoized, so re-deriving the same
 //!   value along different schedules costs a hash lookup;
-//! * [`simplify`](crate::simplify) — conservative algebraic rewrites
+//! * [`simplify`] — conservative algebraic rewrites
 //!   applied at construction (each distinct application simplifies once
 //!   per process, then lives in the cache);
-//! * [`interval`](crate::interval) — unsigned interval analysis for
+//! * [`interval`] — unsigned interval analysis for
 //!   cheap unsatisfiability proofs;
-//! * [`solver`](crate::solver) — a heuristic model finder (interval
+//! * [`solver`] — a heuristic model finder (interval
 //!   refutation + candidate/model search) that answers
 //!   [`Verdict::Unknown`] rather than missing models, sound for
 //!   violation *detection*. Verdicts are memoized process-wide per
 //!   canonical constraint set ([`solver_memo_stats`]) — the same path
 //!   conditions recur constantly across schedules and programs;
-//! * [`symmem`](crate::symmem) — labeled symbolic values ([`SymVal`] is
+//! * [`symmem`] — labeled symbolic values ([`SymVal`] is
 //!   two words and `Copy`), register files, and memories, all cheap to
 //!   clone because contents are interned ids.
 //!

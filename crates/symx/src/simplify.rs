@@ -8,7 +8,7 @@
 //! All functions run **without holding any interner lock**: the caller
 //! ([`crate::expr`]'s memoized `app` constructor) releases the raw
 //! node's shard before simplifying, and every constructor re-entered
-//! here ([`constant`], [`raw_app`]) locks per operation. Results are
+//! here (`constant`, `raw_app`) locks per operation. Results are
 //! memoized per raw node, so each distinct application simplifies once
 //! per process.
 
